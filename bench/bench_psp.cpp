@@ -106,22 +106,33 @@ int main() {
   // Delta serving (DESIGN.md §15): a standard-table PSP with restart
   // markers serving coefficient-domain downloads — the lossless chain
   // leaves the MCU grid clean, so the delta path splices every segment's
-  // entropy bytes verbatim from the retained upload scan while the
-  // delta-off baseline re-entropy-codes the whole image. Cache disabled so
-  // both passes measure codec work; the bytes must match exactly.
+  // entropy bytes verbatim from the retained upload scan. The delta-off
+  // baseline is a full serialize() of the same coefficients (parsed outside
+  // the timer). Cache disabled so the delta pass measures codec work; the
+  // bytes must match exactly.
   psp::PspConfig dcfg;
   dcfg.huffman = jpeg::HuffmanMode::kStandard;
   dcfg.cache_bytes = 0;
   psp::PspService dpsp(dcfg);
   std::vector<std::string> dids;
-  for (std::size_t i = 0; i < delta_uploads.size(); ++i)
+  std::vector<jpeg::CoefficientImage> dparsed;
+  for (std::size_t i = 0; i < delta_uploads.size(); ++i) {
     dids.push_back(dpsp.upload(delta_uploads[i], upload_params[i]));
+    dparsed.push_back(jpeg::parse(delta_uploads[i]));
+  }
   const transform::Chain identity_chain;  // identity: nothing dirty
-  jpeg::set_delta_reencode_enabled(0);
-  const Pass full_pass =
-      serve(dpsp, dids, identity_chain, psp::DeliveryMode::kCoefficients,
-            75);
-  jpeg::set_delta_reencode_enabled(1);
+  Pass full_pass;
+  {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const jpeg::CoefficientImage& c : dparsed) {
+      psp::Download d;
+      d.jfif = jpeg::serialize(c, delta_eo);
+      full_pass.downloads.push_back(std::move(d));
+    }
+    full_pass.ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  }
   const std::uint64_t copied_before =
       metrics::counter("psp.codec.segments_copied").value();
   const std::uint64_t reenc_before =
@@ -129,7 +140,6 @@ int main() {
   const Pass delta_pass =
       serve(dpsp, dids, identity_chain, psp::DeliveryMode::kCoefficients,
             75);
-  jpeg::set_delta_reencode_enabled(-1);
   const std::uint64_t seg_copied =
       metrics::counter("psp.codec.segments_copied").value() - copied_before;
   const std::uint64_t seg_reenc =

@@ -52,23 +52,48 @@ struct EncodeStats {
   std::size_t saved_bytes = 0;
 };
 
-/// Pixel -> quantized-coefficient domain at the given JPEG quality.
-/// `mode` selects full-resolution (4:4:4) or subsampled (4:2:0) chroma.
-/// A non-null `scan` is filled with per-block nonzero masks for serialize().
+/// Knob for the band engine (jpeg/chunk.h) behind every pixel <->
+/// coefficient conversion.
+struct ChunkOptions {
+  /// Upper bound on MCU rows per band (one MCU row = 8 pixel rows in 4:4:4,
+  /// 16 in 4:2:0); 0 means the built-in cap of 16. The engine cuts the
+  /// image's MCU rows into equal bands of at most this many rows, the same
+  /// number for every pool lane. Purely an execution knob: output is
+  /// identical for every value.
+  int mcu_rows = 0;
+};
+
+/// How the band engine scheduled one call.
+struct ChunkStats {
+  /// Pixel scratch one pool lane holds while it walks its bands. Depends on
+  /// width, band rows and chroma mode — never on image height; `lanes`
+  /// lanes hold one each at the same time.
+  std::size_t peak_chunk_bytes = 0;
+  int chunks = 0;          ///< bands processed
+  int chunk_mcu_rows = 0;  ///< MCU rows per band (the last may be short)
+  int lanes = 0;           ///< lanes the bands were split over
+};
+
+/// Pixel -> quantized-coefficient domain at the given JPEG quality, on the
+/// band engine, reading the caller's float planes in place (no copy, no
+/// clamp: out-of-range samples quantize as they are). `mode` selects
+/// full-resolution (4:4:4) or subsampled (4:2:0) chroma. A non-null `scan`
+/// is filled with per-block nonzero masks for serialize().
 CoefficientImage forward_transform(const YccImage& img, int quality,
                                    ChromaMode mode = ChromaMode::k444,
                                    ScanIndex* scan = nullptr);
-CoefficientImage forward_transform(const GrayU8& img, int quality,
-                                   ScanIndex* scan = nullptr);
 
-/// Coefficient -> pixel domain. The YccImage result is float and UNCLAMPED:
-/// perturbed regions may exceed [0,255], and keeping them linear is what
-/// makes shadow-ROI subtraction exact (DESIGN.md §5.3).
+/// Coefficient -> pixel domain on the band engine, which writes rows
+/// straight into the result. The YccImage is float and UNCLAMPED: perturbed
+/// regions may exceed [0,255], and keeping them linear is what makes
+/// shadow-ROI subtraction exact (DESIGN.md §5.3).
 YccImage inverse_transform(const CoefficientImage& coeffs);
-GrayU8 inverse_transform_gray(const CoefficientImage& coeffs);
 
-/// Convenience: decode straight to clamped 8-bit RGB (display path).
-RgbImage decode_to_rgb(const CoefficientImage& coeffs);
+/// Decode straight to clamped 8-bit RGB (display path); equals
+/// ycc_to_rgb(inverse_transform(coeffs)) without the float image.
+RgbImage decode_to_rgb(const CoefficientImage& coeffs,
+                       const ChunkOptions& copt = {},
+                       ChunkStats* stats = nullptr);
 
 /// Entropy-encodes a coefficient image into a JFIF byte stream. Lossless:
 /// parse(serialize(x)) == x.
@@ -197,15 +222,6 @@ bool parallel_decode_enabled();
 /// Overrides the knob at runtime; pass -1 to restore env/default resolution.
 void set_parallel_decode_enabled(int enabled);
 
-/// Enables/disables the delta re-encode path (default on; the PUPPIES_DELTA
-/// environment variable set to "0" disables it). When off, serialize_delta
-/// routes straight to serialize() — output bytes are identical either way,
-/// so benches toggle it to difference delta-on vs delta-off serving.
-bool delta_reencode_enabled();
-
-/// Overrides the knob at runtime; pass -1 to restore env/default resolution.
-void set_delta_reencode_enabled(int enabled);
-
 /// Decoder allocation guard: the largest width*height (in pixels) parse()
 /// will accept from an SOF header. Default 1'000'000'000 (1 GP — both codec
 /// directions stream MCU-row bands, so pixel scratch stays O(width × chunk
@@ -219,9 +235,11 @@ std::size_t max_decode_pixels();
 /// env/default resolution.
 void set_max_decode_pixels(std::size_t pixels);
 
-/// End-to-end conveniences.
+/// End-to-end conveniences. compress() is forward_transform_chunked +
+/// serialize.
 Bytes compress(const RgbImage& img, int quality,
-               const EncodeOptions& opts = {});
+               const EncodeOptions& opts = {}, const ChunkOptions& copt = {},
+               ChunkStats* stats = nullptr);
 RgbImage decompress(std::span<const std::uint8_t> data);
 
 /// The PSP-side "compression" transform: requantizes all coefficients to a

@@ -61,11 +61,11 @@ struct PspConfig {
   /// from each image's symbol histogram; the mode is part of the transform
   /// cache key so the two modes never share cached bytes.
   jpeg::HuffmanMode huffman = jpeg::HuffmanMode::kOptimized;
-  /// MCU rows per chunk for the clamped-reencode pipeline (jpeg/chunk.h);
-  /// 0 uses the process default (PUPPIES_CHUNK_ROWS, else 16). Purely an
-  /// execution knob — served bytes are identical for every value — so it
-  /// is deliberately NOT part of the transform cache key and cached
-  /// digests survive any setting.
+  /// Band cap (ChunkOptions::mcu_rows) for the serving-side re-encodes on
+  /// the band engine (jpeg/chunk.h); 0 means 16. Purely an execution knob —
+  /// served bytes are identical for every value — so it is deliberately NOT
+  /// part of the transform cache key and cached digests survive any
+  /// setting.
   int chunk_mcu_rows = 0;
   /// Restart interval (MCUs) for every serving-side encode. Restart markers
   /// make served scans segment-parallel decodable AND delta-servable: with

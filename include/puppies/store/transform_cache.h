@@ -2,7 +2,6 @@
 
 #include <condition_variable>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -10,6 +9,7 @@
 #include "puppies/common/digest.h"
 #include "puppies/image/image.h"
 #include "puppies/jpeg/codec.h"
+#include "puppies/store/byte_lru.h"
 #include "puppies/transform/transform.h"
 
 namespace puppies::store {
@@ -64,8 +64,8 @@ class TransformCache {
   ResultPtr get_or_compute(const Digest& key,
                            const std::function<TransformResult()>& compute);
 
-  bool enabled() const { return budget_ > 0; }
-  std::size_t budget_bytes() const { return budget_; }
+  bool enabled() const { return lru_.budget_bytes() > 0; }
+  std::size_t budget_bytes() const { return lru_.budget_bytes(); }
   std::size_t size_bytes() const;
   std::size_t count() const;
   void clear();
@@ -78,19 +78,9 @@ class TransformCache {
     ResultPtr result;
     std::exception_ptr error;
   };
-  struct Slot {
-    ResultPtr result;
-    std::list<Digest>::iterator lru_it;
-  };
-
-  void evict_over_budget_locked();
-
-  const std::size_t budget_;
   mutable std::mutex mu_;
-  std::list<Digest> lru_;  // front = most recently used
-  std::unordered_map<Digest, Slot, DigestHash> map_;
+  ByteLru<Digest, ResultPtr, DigestHash> lru_;
   std::unordered_map<Digest, std::shared_ptr<Flight>, DigestHash> flights_;
-  std::size_t bytes_ = 0;
 };
 
 }  // namespace puppies::store

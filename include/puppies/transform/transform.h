@@ -10,7 +10,10 @@
 namespace puppies::transform {
 
 /// The PSP-side image transformations PUPPIES supports (Table I columns).
-enum class Kind : std::uint8_t {
+/// 32 bits wide so `Step` has no padding bytes: its object representation is
+/// fully determined by its fields (gtest prints it into parameterized test
+/// names, which must not vary from run to run). The wire format stays one byte.
+enum class Kind : std::uint32_t {
   kIdentity = 0,
   kScale,        ///< bilinear resize to (arg0 x arg1)
   kCropAligned,  ///< crop to 8-aligned `rect`

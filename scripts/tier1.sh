@@ -23,14 +23,14 @@ PUPPIES_SIMD=scalar ./build/tests/tests_kernels
 # must hold on every tier, and ctest above only covered the native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_encode
 
-# The chunked-pipeline differential suite on the forced-scalar tier too:
-# chunked vs whole-image byte identity is claimed per SIMD tier.
+# The band-engine differential suite on the forced-scalar tier too: band
+# engine vs test reference byte identity is claimed per SIMD tier.
 PUPPIES_SIMD=scalar ./build/tests/tests_chunked
 
-# The decode differential suite on the forced-scalar tier: the chunked
-# inverse pipeline and the fused dequantize+IDCT kernel claim bit identity
-# with the whole-image decode per SIMD tier, and ctest only ran the native
-# one.
+# The decode differential suite on the forced-scalar tier: the band
+# engine's inverse half and the fused dequantize+IDCT kernel claim bit
+# identity with the test reference decode per SIMD tier, and ctest only ran
+# the native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_decode
 
 # The ROI-delta differential suite on the forced-scalar tier: delta-vs-full
@@ -101,7 +101,7 @@ grep -q '"delta_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
 rm -rf "$BENCH_DIR"
 
 # tests_chunked rides under TSan alongside the store suite: the parallel
-# restart-segment writers and the per-chunk pipeline stages are new
+# restart-segment writers and the band engine's concurrent bands are
 # shared-state concurrency, so races there must surface as failures, not
 # as one-in-a-thousand flaky byte mismatches. tests_net joins them: the
 # event loop, dispatcher queue, per-entry PSP locking, and the completion

@@ -26,21 +26,7 @@ std::unique_ptr<store::BlobStore> open_backend(const PspConfig& config) {
   return store::open_disk_store(dir);
 }
 
-/// Every serving-side encode funnels through here: one timer histogram plus
-/// the entropy-segment accounting counters, so `store stats --json` shows
-/// the encode cost and the optimized-table win per upload/recompress.
-Bytes serialize_measured(const jpeg::CoefficientImage& img,
-                         const jpeg::EncodeOptions& opts,
-                         const jpeg::ScanIndex* scan = nullptr) {
-  metrics::ScopedTimer timer(metrics::histogram("psp.codec.encode_ms"));
-  jpeg::EncodeStats stats;
-  Bytes out = jpeg::serialize(img, opts, scan, &stats);
-  metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
-  metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
-  return out;
-}
-
-/// Decode-side twin of serialize_measured: upload-time parses funnel through
+/// Decode-side twin of measured_encode: upload-time parses funnel through
 /// here so `store stats --json` shows the decode cost next to the encode
 /// cost, plus how many restart segments fed the segment-parallel decoder.
 /// A non-null `source` retains the scan's delta-serving context.
@@ -68,22 +54,31 @@ void record_delta_metrics(const jpeg::DeltaStats& ds) {
       .add(static_cast<std::uint64_t>(ds.segments_reencoded));
 }
 
-/// serialize_measured's delta twin: routes through jpeg::serialize_delta
-/// (which itself falls back to serialize() on any precondition miss), under
-/// the same encode timer and entropy counters.
-Bytes serialize_delta_measured(const jpeg::CoefficientImage& img,
-                               const jpeg::EncodeOptions& opts,
-                               const jpeg::ScanSource& src,
-                               const jpeg::DirtyMcuSet& dirty) {
+/// Every serving-side encode funnels through here: one timer histogram plus
+/// the entropy-segment accounting counters, so `store stats --json` shows
+/// the encode cost and the optimized-table win per upload/recompress.
+/// `encode(stats, delta)` runs the encode; the ones that go through
+/// serialize_delta also fill `delta`, and only those feed the delta
+/// counters.
+template <typename Encode>
+Bytes measured_encode(Encode&& encode) {
   metrics::ScopedTimer timer(metrics::histogram("psp.codec.encode_ms"));
   jpeg::EncodeStats stats;
-  jpeg::DeltaStats ds;
-  Bytes out = jpeg::serialize_delta(img, opts, src, dirty, nullptr, &stats,
-                                    &ds);
+  jpeg::DeltaStats delta;
+  Bytes out = encode(&stats, &delta);
   metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
   metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
-  record_delta_metrics(ds);
+  if (delta.fallback || delta.segments_total > 0) record_delta_metrics(delta);
   return out;
+}
+
+/// The serving-side encode settings at the given restart cadence.
+jpeg::EncodeOptions encode_options(const PspConfig& config,
+                                   int restart_interval) {
+  jpeg::EncodeOptions eo;
+  eo.huffman = config.huffman;
+  eo.restart_interval = restart_interval;
+  return eo;
 }
 
 }  // namespace
@@ -192,6 +187,10 @@ store::TransformResult PspService::compute_transform(
       std::all_of(chain.begin(), chain.end(),
                   [](const transform::Step& s) { return s.lossless(); });
 
+  const jpeg::EncodeOptions eo =
+      encode_options(config_, config_.restart_interval);
+  jpeg::ChunkOptions copt;
+  copt.mcu_rows = config_.chunk_mcu_rows;
   store::TransformResult r;
   if (all_lossless && mode == DeliveryMode::kCoefficients) {
     metrics::ScopedTimer timer(metrics::histogram("psp.transform.lossless_ms"));
@@ -205,10 +204,10 @@ store::TransformResult PspService::compute_transform(
     jpeg::CoefficientImage img =
         transform::apply_lossless(chain, e.parsed, &dirty);
     metrics::counter("psp.codec.serialize").add();
-    jpeg::EncodeOptions eo;
-    eo.huffman = config_.huffman;
-    eo.restart_interval = config_.restart_interval;
-    r.jfif = serialize_delta_measured(img, eo, e.scan_src, dirty);
+    r.jfif = measured_encode([&](jpeg::EncodeStats* st, jpeg::DeltaStats* ds) {
+      return jpeg::serialize_delta(img, eo, e.scan_src, dirty, nullptr, st,
+                                   ds);
+    });
   } else {
     require(mode != DeliveryMode::kCoefficients,
             "coefficient delivery requires an all-lossless chain");
@@ -225,26 +224,17 @@ store::TransformResult PspService::compute_transform(
       metrics::counter("psp.codec.inverse").add();
       metrics::counter("psp.codec.forward").add();
       metrics::counter("psp.codec.recompress_streamed").add();
-      jpeg::EncodeOptions eo;
-      eo.huffman = config_.huffman;
-      eo.restart_interval = config_.restart_interval;
-      jpeg::ChunkOptions copt;
-      copt.mcu_rows = config_.chunk_mcu_rows;
       // Delta recompress: the round trip at the right quality leaves most
       // blocks bit-identical to the upload parse, so only the segments the
       // clamp actually changed re-entropy-code; the rest splice from the
       // retained upload bytes. Bytes equal the full path's in every case
       // (fallback included), so the shared cache key stays safe.
-      metrics::ScopedTimer enc_timer(
-          metrics::histogram("psp.codec.encode_ms"));
-      jpeg::EncodeStats stats;
-      jpeg::DeltaStats ds;
-      r.jfif = jpeg::recompress_delta_chunked(e.parsed, e.scan_src,
-                                              reencode_quality, eo, copt,
-                                              nullptr, &stats, &ds);
-      metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
-      metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
-      record_delta_metrics(ds);
+      r.jfif = measured_encode(
+          [&](jpeg::EncodeStats* st, jpeg::DeltaStats* ds) {
+            return jpeg::recompress_delta_chunked(e.parsed, e.scan_src,
+                                                  reencode_quality, eo, copt,
+                                                  nullptr, st, ds);
+          });
       return r;
     }
     metrics::counter("psp.codec.inverse").add();
@@ -253,24 +243,21 @@ store::TransformResult PspService::compute_transform(
     if (mode == DeliveryMode::kLinearFloat) {
       r.pixels = transformed;
     } else {
-      // Realistic path: clamp and re-encode, streamed one band of MCU rows
-      // at a time (jpeg/chunk.h) so per-request pixel scratch stays
-      // O(width * chunk rows) instead of three more full-image planes.
-      // Byte-identical to the whole-image clamp + forward_transform, which
-      // is why the chunk knob never enters the transform cache key.
+      // Realistic path: clamp and re-encode on the band engine
+      // (jpeg/chunk.h), so per-request pixel scratch stays a few MCU rows
+      // per pool lane instead of three more full-image planes. Bytes never
+      // depend on the band size, which is why the chunk knob never enters
+      // the transform cache key.
       metrics::ScopedTimer reencode(
           metrics::histogram("psp.transform.reencode_ms"));
       metrics::counter("psp.codec.forward").add();
-      jpeg::EncodeOptions eo;
-      eo.huffman = config_.huffman;
-      eo.restart_interval = config_.restart_interval;
-      jpeg::ChunkOptions copt;
-      copt.mcu_rows = config_.chunk_mcu_rows;
       jpeg::ScanIndex scan;
       const jpeg::CoefficientImage coeffs =
           jpeg::forward_transform_clamped_chunked(
               transformed, reencode_quality, eo.chroma, copt, &scan);
-      r.jfif = serialize_measured(coeffs, eo, &scan);
+      r.jfif = measured_encode([&](jpeg::EncodeStats* st, jpeg::DeltaStats*) {
+        return jpeg::serialize(coeffs, eo, &scan, st);
+      });
     }
   }
   return r;
@@ -334,13 +321,14 @@ Download PspService::download(const std::string& id) {
       metrics::counter("psp.degraded.store_read").add();
       if (dynamic_cast<const CorruptionError*>(&err))
         metrics::counter("psp.degraded.store_corrupt").add();
-      jpeg::EncodeOptions eo;
-      eo.huffman = config_.huffman;
       // Reproduce the upload's own restart layout (not the serving
       // config's): the heal re-publishes under the original content
       // address, so the bytes must match the upload, not a transform.
-      eo.restart_interval = e.scan_src.restart_interval;
-      d.jfif = serialize_measured(e.parsed, eo);
+      const jpeg::EncodeOptions eo =
+          encode_options(config_, e.scan_src.restart_interval);
+      d.jfif = measured_encode([&](jpeg::EncodeStats* st, jpeg::DeltaStats*) {
+        return jpeg::serialize(e.parsed, eo, nullptr, st);
+      });
       try {
         const Digest healed = blobs_->put(d.jfif);
         if (!(healed == e.digest)) {

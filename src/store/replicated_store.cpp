@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -21,6 +20,7 @@
 #include "puppies/exec/task_queue.h"
 #include "puppies/fault/fault.h"
 #include "puppies/metrics/metrics.h"
+#include "puppies/store/byte_lru.h"
 #include "puppies/store/replicated_store.h"
 
 namespace puppies::store {
@@ -38,7 +38,8 @@ class ReplicatedBlobStore final : public ReplicatedStore {
                       const ReplicationConfig& config)
       : cfg_(normalize(config, backends.size())),
         backends_(std::move(backends)),
-        health_(backends_.size()) {
+        health_(backends_.size()),
+        hot_(cfg_.hot_bytes) {
     require(!backends_.empty(), "replicated store needs at least one backend");
     build_ring();
     rebuild_index();
@@ -620,48 +621,27 @@ class ReplicatedBlobStore final : public ReplicatedStore {
   std::optional<Bytes> hot_get(const Digest& d) const {
     if (cfg_.hot_bytes == 0) return std::nullopt;
     std::lock_guard lock(hot_mu_);
-    auto it = hot_map_.find(d);
-    if (it == hot_map_.end()) {
-      metrics::counter("store.repl.hot_miss").add();
-      return std::nullopt;
-    }
-    hot_list_.splice(hot_list_.begin(), hot_list_, it->second);
-    metrics::counter("store.repl.hot_hit").add();
-    return it->second->second;
+    const Bytes* hit = hot_.get(d);
+    metrics::counter(hit ? "store.repl.hot_hit" : "store.repl.hot_miss").add();
+    if (!hit) return std::nullopt;
+    return *hit;
   }
 
   void hot_put(const Digest& d, const Bytes& data) const {
     if (cfg_.hot_bytes == 0 || data.size() > cfg_.hot_bytes) return;
     std::lock_guard lock(hot_mu_);
-    auto it = hot_map_.find(d);
-    if (it != hot_map_.end()) {
-      hot_list_.splice(hot_list_.begin(), hot_list_, it->second);
-      return;
-    }
-    hot_list_.emplace_front(d, data);
-    hot_map_[d] = hot_list_.begin();
-    hot_total_ += data.size();
-    while (hot_total_ > cfg_.hot_bytes) {
-      const auto& victim = hot_list_.back();
-      hot_total_ -= victim.second.size();
-      hot_map_.erase(victim.first);
-      hot_list_.pop_back();
-      metrics::counter("store.repl.hot_evict").add();
-    }
+    if (const std::size_t evicted = hot_.put(d, data, data.size()))
+      metrics::counter("store.repl.hot_evict").add(evicted);
     metrics::gauge("store.repl.hot_bytes")
-        .set(static_cast<std::int64_t>(hot_total_));
+        .set(static_cast<std::int64_t>(hot_.bytes()));
   }
 
   void hot_erase(const Digest& d) const {
     if (cfg_.hot_bytes == 0) return;
     std::lock_guard lock(hot_mu_);
-    auto it = hot_map_.find(d);
-    if (it == hot_map_.end()) return;
-    hot_total_ -= it->second->second.size();
-    hot_list_.erase(it->second);
-    hot_map_.erase(it);
+    if (!hot_.erase(d)) return;
     metrics::gauge("store.repl.hot_bytes")
-        .set(static_cast<std::int64_t>(hot_total_));
+        .set(static_cast<std::int64_t>(hot_.bytes()));
   }
 
   const ReplicationConfig cfg_;
@@ -678,12 +658,7 @@ class ReplicatedBlobStore final : public ReplicatedStore {
   mutable std::atomic<std::uint64_t> ops_{0};
 
   mutable std::mutex hot_mu_;
-  mutable std::list<std::pair<Digest, Bytes>> hot_list_;
-  mutable std::unordered_map<Digest,
-                             std::list<std::pair<Digest, Bytes>>::iterator,
-                             DigestHash>
-      hot_map_;
-  mutable std::size_t hot_total_ = 0;
+  mutable ByteLru<Digest, Bytes, DigestHash> hot_;
 
   mutable std::mutex repair_mu_;
   mutable std::set<std::pair<Digest, std::size_t>> pending_repairs_;

@@ -29,34 +29,21 @@ Digest transform_cache_key(const Digest& source,
 }
 
 TransformCache::TransformCache(std::size_t budget_bytes)
-    : budget_(budget_bytes) {}
+    : lru_(budget_bytes) {}
 
 std::size_t TransformCache::size_bytes() const {
   std::lock_guard lock(mu_);
-  return bytes_;
+  return lru_.bytes();
 }
 
 std::size_t TransformCache::count() const {
   std::lock_guard lock(mu_);
-  return map_.size();
+  return lru_.size();
 }
 
 void TransformCache::clear() {
   std::lock_guard lock(mu_);
-  map_.clear();
   lru_.clear();
-  bytes_ = 0;
-}
-
-void TransformCache::evict_over_budget_locked() {
-  while (bytes_ > budget_ && !lru_.empty()) {
-    const Digest victim = lru_.back();
-    lru_.pop_back();
-    auto it = map_.find(victim);
-    bytes_ -= it->second.result->cost_bytes();
-    map_.erase(it);
-    metrics::counter("cache.eviction").add();
-  }
 }
 
 TransformCache::ResultPtr TransformCache::get_or_compute(
@@ -70,11 +57,9 @@ TransformCache::ResultPtr TransformCache::get_or_compute(
   std::shared_ptr<Flight> flight;
   {
     std::lock_guard lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    if (const ResultPtr* hit = lru_.get(key)) {
       metrics::counter("cache.hit").add();
-      return it->second.result;
+      return *hit;
     }
     auto fit = flights_.find(key);
     if (fit != flights_.end()) {
@@ -111,12 +96,10 @@ TransformCache::ResultPtr TransformCache::get_or_compute(
     std::lock_guard lock(mu_);
     own = flights_.at(key);
     flights_.erase(key);
-    if (!error) {
-      lru_.push_front(key);
-      map_.emplace(key, Slot{result, lru_.begin()});
-      bytes_ += result->cost_bytes();
-      evict_over_budget_locked();
-    }
+    if (!error)
+      if (const std::size_t evicted =
+              lru_.put(key, result, result->cost_bytes()))
+        metrics::counter("cache.eviction").add(evicted);
   }
   {
     std::lock_guard fl(own->mu);

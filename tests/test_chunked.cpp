@@ -1,19 +1,21 @@
-// Differential suite for the chunked codec pipeline (jpeg/chunk.h) and the
-// parallel restart-segment entropy encoder (DESIGN.md §11).
+// Differential suite for the band engine (jpeg/chunk.h) and the parallel
+// restart-segment entropy encoder (DESIGN.md §11).
 //
-// The contract under test: the chunked forward transform and the
-// segment-parallel serialize are pure execution-strategy changes — for every
-// chunk size, chroma mode, perturbation scheme, Huffman table mode, restart
-// interval, and thread count, the bytes match the whole-image single-writer
+// The contract under test: the band engine and the segment-parallel
+// serialize are pure execution strategies — for every band cap, image
+// shape, chroma mode, perturbation scheme, Huffman table mode, restart
+// interval, and thread count, the coefficients and bytes match the
+// whole-plane reference codec (codec_reference.h) and the single-writer
 // encoder exactly. scripts/tier1.sh reruns this binary with
-// PUPPIES_SIMD=scalar and under TSan (the segment writers are new
-// shared-state parallel code).
+// PUPPIES_SIMD=scalar and under TSan (bands run concurrently on the pool).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "codec_reference.h"
 #include "puppies/core/pipeline.h"
 #include "puppies/exec/parallel_for.h"
 #include "puppies/exec/pool.h"
@@ -49,6 +51,30 @@ RgbImage test_image(int w, int h) {
   return (w >= 32 && h >= 32) ? scene(w, h) : tiny_pattern(w, h);
 }
 
+/// YCbCr planes pushed outside [0, 255] in both directions — what a
+/// pixel-domain transform of a perturbed image hands the encoder.
+YccImage out_of_range_ycc(int w, int h) {
+  YccImage ycc = rgb_to_ycc(test_image(w, h));
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      ycc.y.at(x, y) += ((x + y) % 7 - 3) * 60.f;
+      ycc.cb.at(x, y) -= (x % 5) * 70.f;
+      ycc.cr.at(x, y) += (y % 3) * 90.f;
+    }
+  return ycc;
+}
+
+/// Shapes the band schedule has to get right: 500x330 splits into fewer
+/// MCU rows per lane than the cap (and, at 8 lanes in 4:2:0, fewer bands
+/// than lanes), 16x8 is a single band, odd widths and heights exercise the
+/// clamped border blocks and the duplicated odd-height chroma tail.
+const std::vector<std::pair<int, int>>& shapes() {
+  static const std::vector<std::pair<int, int>> kShapes = {
+      {96, 64}, {97, 63}, {33, 17}, {16, 16}, {8, 8},
+      {129, 40}, {500, 330}, {16, 8}, {41, 75}};
+  return kShapes;
+}
+
 jpeg::CoefficientImage perturbed(const jpeg::CoefficientImage& img,
                                  core::Scheme scheme) {
   core::RoiPolicy policy;
@@ -69,38 +95,108 @@ struct PixelLimitGuard {
   ~PixelLimitGuard() { jpeg::set_max_decode_pixels(0); }
 };
 
+const char* chroma_name(jpeg::ChromaMode mode) {
+  return mode == jpeg::ChromaMode::k420 ? "420" : "444";
+}
+
 // ---------------------------------------------------------------------------
-// Chunked forward transform vs the whole-image transform.
+// Band engine vs the whole-plane reference.
 
 TEST(ChunkedForward, MatchesWholeImageAcrossChunkSizesAndShapes) {
-  // Odd sizes exercise clamped border blocks and (in 4:2:0) the duplicated
-  // odd-height chroma tail; chunk sizes 1/2/5 exercise band boundaries that
-  // are not block-aligned with image features, and 1000 exercises the
-  // single-chunk degenerate case.
-  const std::vector<std::pair<int, int>> sizes = {
-      {96, 64}, {97, 63}, {33, 17}, {16, 16}, {8, 8}, {129, 40}};
-  for (const auto& [w, h] : sizes) {
+  ThreadGuard guard;
+  for (const auto& [w, h] : shapes()) {
     const RgbImage img = test_image(w, h);
     for (jpeg::ChromaMode mode :
          {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
       jpeg::ScanIndex whole_scan;
-      const jpeg::CoefficientImage whole =
-          jpeg::forward_transform(rgb_to_ycc(img), 75, mode, &whole_scan);
-      for (int chunk : {1, 2, 5, 1000}) {
-        jpeg::ChunkOptions copt;
-        copt.mcu_rows = chunk;
+      const jpeg::CoefficientImage whole = jpeg::reference::forward_transform(
+          rgb_to_ycc(img), 75, mode, &whole_scan);
+      const Bytes whole_bytes = jpeg::serialize(whole, {}, &whole_scan);
+      const int mcu_rows = whole.mcu_rows();
+      for (int threads : {1, 2, 8}) {
+        exec::configure(exec::Config{threads});
+        for (int chunk : {1, 2, 5, 1000}) {
+          jpeg::ChunkOptions copt;
+          copt.mcu_rows = chunk;
+          jpeg::ScanIndex scan;
+          jpeg::ChunkStats stats;
+          const jpeg::CoefficientImage chunked =
+              jpeg::forward_transform_chunked(img, 75, mode, copt, &scan,
+                                              &stats);
+          ASSERT_EQ(chunked, whole)
+              << w << "x" << h << " chroma " << chroma_name(mode)
+              << " chunk " << chunk << " threads " << threads;
+          ASSERT_EQ(scan.masks, whole_scan.masks);
+          ASSERT_EQ(jpeg::serialize(chunked, {}, &scan), whole_bytes);
+          // The schedule: bands of at most the cap, covering every MCU row,
+          // spread over at most one lane per thread; when one wave of bands
+          // fits under the cap, each lane gets exactly one band.
+          ASSERT_LE(stats.chunk_mcu_rows, chunk);
+          ASSERT_EQ(stats.chunks,
+                    (mcu_rows + stats.chunk_mcu_rows - 1) /
+                        stats.chunk_mcu_rows);
+          ASSERT_EQ(stats.lanes, std::min(threads, stats.chunks));
+          const int lanes = std::min(threads, mcu_rows);
+          if (chunk * lanes >= mcu_rows) {
+            ASSERT_EQ(stats.chunk_mcu_rows, (mcu_rows + lanes - 1) / lanes);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ChunkedForward, UnclampedYccMatchesWholePlaneReference) {
+  // forward_transform reads the caller's float planes in place: samples
+  // below 0 and above 255 must quantize exactly as the whole-plane
+  // reference quantizes them, never clamped.
+  ThreadGuard guard;
+  for (const auto& [w, h] : shapes()) {
+    const YccImage ycc = out_of_range_ycc(w, h);
+    for (jpeg::ChromaMode mode :
+         {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
+      jpeg::ScanIndex want_scan;
+      const jpeg::CoefficientImage want =
+          jpeg::reference::forward_transform(ycc, 90, mode, &want_scan);
+      for (int threads : {1, 2, 8}) {
+        exec::configure(exec::Config{threads});
         jpeg::ScanIndex scan;
-        jpeg::ChunkStats stats;
-        const jpeg::CoefficientImage chunked = jpeg::forward_transform_chunked(
-            img, 75, mode, copt, &scan, &stats);
-        ASSERT_EQ(chunked, whole)
-            << w << "x" << h << " chroma "
-            << (mode == jpeg::ChromaMode::k420 ? 420 : 444) << " chunk "
-            << chunk;
-        ASSERT_EQ(scan.masks, whole_scan.masks);
-        ASSERT_EQ(stats.chunk_mcu_rows, chunk);
-        ASSERT_EQ(jpeg::serialize(chunked, {}, &scan),
-                  jpeg::serialize(whole, {}, &whole_scan));
+        ASSERT_EQ(jpeg::forward_transform(ycc, 90, mode, &scan), want)
+            << w << "x" << h << " chroma " << chroma_name(mode)
+            << " threads " << threads;
+        ASSERT_EQ(scan.masks, want_scan.masks);
+      }
+    }
+  }
+}
+
+TEST(ChunkedInverse, KeepsOutOfRangeValuesUnclamped) {
+  // inverse_transform writes unclamped floats straight into its result;
+  // decoding an out-of-range encode must reproduce the reference's samples
+  // below 0 and above 255 bit for bit (Lemma III.1 rests on it).
+  ThreadGuard guard;
+  for (const auto& [w, h] : shapes()) {
+    for (jpeg::ChromaMode mode :
+         {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
+      const jpeg::CoefficientImage coeffs =
+          jpeg::reference::forward_transform(out_of_range_ycc(w, h), 100,
+                                             mode);
+      const YccImage want = jpeg::reference::inverse_transform(coeffs);
+      float lo = 0.f, hi = 255.f;
+      for (int c = 0; c < 3; ++c)
+        for (float v : want.component(c).pixels()) {
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+      ASSERT_LT(lo, 0.f) << w << "x" << h;
+      ASSERT_GT(hi, 255.f) << w << "x" << h;
+      for (int threads : {1, 2, 8}) {
+        exec::configure(exec::Config{threads});
+        const YccImage got = jpeg::inverse_transform(coeffs);
+        for (int c = 0; c < 3; ++c)
+          ASSERT_EQ(got.component(c), want.component(c))
+              << w << "x" << h << " chroma " << chroma_name(mode)
+              << " threads " << threads << " component " << c;
       }
     }
   }
@@ -109,27 +205,29 @@ TEST(ChunkedForward, MatchesWholeImageAcrossChunkSizesAndShapes) {
 TEST(ChunkedForward, ClampedReencodeMatchesWholeImagePath) {
   // The serving-side path: a float YCC image with out-of-range samples
   // (what a pixel-domain transform of a perturbed image produces) is
-  // clamped to u8 RGB and re-encoded. Chunked and whole-image variants must
-  // agree bit for bit, including on the clamp.
-  const RgbImage img = scene(97, 63);
-  YccImage ycc = rgb_to_ycc(img);
-  for (int y = 0; y < ycc.height(); ++y)
-    for (int x = 0; x < ycc.width(); ++x) {
-      ycc.y.at(x, y) += ((x + y) % 7 - 3) * 40.f;  // push outside [0, 255]
-      ycc.cb.at(x, y) -= (x % 5) * 30.f;
+  // clamped to u8 RGB and re-encoded. The band engine and the whole-plane
+  // reference must agree bit for bit, including on the clamp.
+  ThreadGuard guard;
+  for (const auto& [w, h] :
+       std::vector<std::pair<int, int>>{{97, 63}, {500, 330}, {16, 8}}) {
+    const YccImage ycc = out_of_range_ycc(w, h);
+    for (jpeg::ChromaMode mode :
+         {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
+      jpeg::ScanIndex whole_scan;
+      const jpeg::CoefficientImage whole = jpeg::reference::forward_transform(
+          rgb_to_ycc(ycc_to_rgb(ycc)), 85, mode, &whole_scan);
+      for (int threads : {1, 2, 8}) {
+        exec::configure(exec::Config{threads});
+        jpeg::ChunkOptions copt;
+        copt.mcu_rows = 2;
+        jpeg::ScanIndex scan;
+        const jpeg::CoefficientImage chunked =
+            jpeg::forward_transform_clamped_chunked(ycc, 85, mode, copt,
+                                                    &scan);
+        ASSERT_EQ(chunked, whole) << w << "x" << h << " threads " << threads;
+        ASSERT_EQ(scan.masks, whole_scan.masks);
+      }
     }
-  for (jpeg::ChromaMode mode :
-       {jpeg::ChromaMode::k444, jpeg::ChromaMode::k420}) {
-    jpeg::ScanIndex whole_scan;
-    const jpeg::CoefficientImage whole = jpeg::forward_transform(
-        rgb_to_ycc(ycc_to_rgb(ycc)), 85, mode, &whole_scan);
-    jpeg::ChunkOptions copt;
-    copt.mcu_rows = 2;
-    jpeg::ScanIndex scan;
-    const jpeg::CoefficientImage chunked =
-        jpeg::forward_transform_clamped_chunked(ycc, 85, mode, copt, &scan);
-    ASSERT_EQ(chunked, whole);
-    ASSERT_EQ(scan.masks, whole_scan.masks);
   }
 }
 
@@ -138,22 +236,12 @@ TEST(ChunkedForward, CompressRoutesThroughChunkedPipeline) {
   jpeg::EncodeOptions eo;
   eo.chroma = jpeg::ChromaMode::k420;
   jpeg::ChunkStats stats;
-  ASSERT_EQ(jpeg::compress(img, 75, eo),
-            jpeg::compress_chunked(img, 75, eo, {}, &stats));
+  ASSERT_EQ(jpeg::compress(img, 75, eo, {}, &stats),
+            jpeg::serialize(jpeg::reference::forward_transform(
+                                rgb_to_ycc(img), 75, eo.chroma),
+                            eo));
   EXPECT_GT(stats.peak_chunk_bytes, 0u);
-}
-
-TEST(ChunkedForward, DefaultKnobResolution) {
-  jpeg::set_default_chunk_mcu_rows(2);
-  jpeg::ChunkStats stats;
-  jpeg::forward_transform_chunked(scene(64, 64), 75, jpeg::ChromaMode::k444,
-                                  {}, nullptr, &stats);
-  EXPECT_EQ(stats.chunk_mcu_rows, 2);
-  jpeg::set_default_chunk_mcu_rows(0);
-  jpeg::forward_transform_chunked(scene(64, 64), 75, jpeg::ChromaMode::k444,
-                                  {}, nullptr, &stats);
-  EXPECT_GT(stats.chunk_mcu_rows, 0);
-  EXPECT_THROW(jpeg::set_default_chunk_mcu_rows(-1), InvalidArgument);
+  EXPECT_GT(stats.chunks, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,11 +54,6 @@ struct TierGuard {
   ~TierGuard() { kernels::configure(initial); }
 };
 
-/// Restores the env/default delta-knob resolution.
-struct DeltaKnobGuard {
-  ~DeltaKnobGuard() { set_delta_reencode_enabled(-1); }
-};
-
 std::vector<kernels::SimdTier> supported_tiers() {
   std::vector<kernels::SimdTier> out;
   for (kernels::SimdTier t :
@@ -328,21 +323,6 @@ TEST(DeltaFallback, GeometryChangingChainsInvalidateTheSource) {
   }
 }
 
-TEST(DeltaFallback, RuntimeKnobDisablesTheDeltaPath) {
-  DeltaKnobGuard guard;
-  const Source src = make_source(64, 64, 4, ChromaMode::k444);
-  DirtyMcuSet dirty;
-  dirty.reset(src.coeffs.mcu_count());
-  set_delta_reencode_enabled(0);
-  expect_fallback_matches_full(src.coeffs, src.eo, src.scan, dirty,
-                               "knob off");
-  set_delta_reencode_enabled(1);
-  DeltaStats ds;
-  serialize_delta(src.coeffs, src.eo, src.scan, dirty, nullptr, nullptr,
-                  &ds);
-  EXPECT_FALSE(ds.fallback);
-}
-
 TEST(DeltaFallback, UndersizedDirtySetFallsBack) {
   const Source src = make_source(64, 64, 4, ChromaMode::k444);
   DirtyMcuSet dirty;  // never reset: total == 0 != mcu_count
@@ -413,27 +393,22 @@ TEST(DeltaServing, IdentityChainDownloadCopiesEverySegment) {
 }
 
 TEST(DeltaServing, LosslessRewriteChainStaysByteIdenticalToFullPath) {
-  DeltaKnobGuard guard;
+  // The served bytes (delta path) equal a full serialize() of the same
+  // transformed coefficients.
   EncodeOptions eo;
   eo.huffman = HuffmanMode::kStandard;
   eo.restart_interval = psp::PspConfig{}.restart_interval;
   const Bytes upload = compress(scene(96, 80), 75, eo);
   const transform::Chain chain{transform::flip_v()};
 
-  auto serve = [&]() {
-    psp::PspConfig cfg;
-    cfg.huffman = HuffmanMode::kStandard;
-    cfg.cache_bytes = 0;
-    psp::PspService psp(cfg);
-    const std::string id = psp.upload(upload, {});
-    psp.apply_transform(id, chain, psp::DeliveryMode::kCoefficients);
-    return psp.download(id).jfif;
-  };
-  set_delta_reencode_enabled(1);
-  const Bytes with_delta = serve();
-  set_delta_reencode_enabled(0);
-  const Bytes without_delta = serve();
-  EXPECT_EQ(with_delta, without_delta);
+  psp::PspConfig cfg;
+  cfg.huffman = HuffmanMode::kStandard;
+  cfg.cache_bytes = 0;
+  psp::PspService psp(cfg);
+  const std::string id = psp.upload(upload, {});
+  psp.apply_transform(id, chain, psp::DeliveryMode::kCoefficients);
+  EXPECT_EQ(psp.download(id).jfif,
+            serialize(transform::apply_lossless(chain, parse(upload)), eo));
 }
 
 // Satellite regression: a serving-path download whose encode has no usable

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "codec_reference.h"
 #include "puppies/common/rng.h"
 #include "puppies/core/pipeline.h"
 #include "puppies/jpeg/bitio.h"
@@ -508,7 +509,8 @@ TEST(EncodeDifferential, GrayImageMatchesSeedEncoder) {
   for (int y = 0; y < gray.height(); ++y)
     for (int x = 0; x < gray.width(); ++x)
       gray.at(x, y) = static_cast<std::uint8_t>(rng.range(0, 255));
-  const jpeg::CoefficientImage img = jpeg::forward_transform(gray, 80);
+  const jpeg::CoefficientImage img =
+      jpeg::reference::forward_transform(gray, 80);
   for (jpeg::HuffmanMode hm :
        {jpeg::HuffmanMode::kStandard, jpeg::HuffmanMode::kOptimized}) {
     jpeg::EncodeOptions opts;

@@ -98,10 +98,6 @@ namespace {
                "                PUPPIES_THREADS env var, else all cores)\n"
                "  --simd TIER   SIMD kernel tier: scalar|sse2|avx2 (default:\n"
                "                PUPPIES_SIMD env var, else CPU detection)\n"
-               "  --chunk-rows N  MCU rows per encode chunk; bounds encode\n"
-               "                scratch at O(width * N) (default:\n"
-               "                PUPPIES_CHUNK_ROWS env var, else 16);\n"
-               "                output bytes are identical for every value\n"
                "  --faults SPEC arm deterministic fault injection (default:\n"
                "                PUPPIES_FAULTS env var); SPEC is a list of\n"
                "                point=once|always|nth:N|p:P[:SEED] items\n"
@@ -277,8 +273,8 @@ int cmd_protect(std::vector<std::string> args) {
   for (const Rect& r : rois)
     policies.push_back(core::RoiPolicy{r, key, scheme, level});
 
-  // Chunked forward transform: the float YCbCr intermediate never exists
-  // whole-image; scratch is bounded by --chunk-rows (jpeg/chunk.h).
+  // Band-engine forward transform straight from the RGB planes: the float
+  // YCbCr intermediate never exists whole-image (jpeg/chunk.h).
   const jpeg::CoefficientImage original =
       jpeg::forward_transform_chunked(image, quality, chroma);
   const core::ProtectResult result = core::protect(original, policies);
@@ -708,11 +704,6 @@ int main(int argc, char** argv) {
       } catch (const std::exception& e) {
         usage(e.what());
       }
-    } else if (std::strcmp(argv[i], "--chunk-rows") == 0) {
-      if (i + 1 >= argc) usage("missing value after --chunk-rows");
-      const int n = std::atoi(argv[++i]);
-      if (n <= 0) usage("bad --chunk-rows, expected a positive integer");
-      jpeg::set_default_chunk_mcu_rows(n);
     } else if (command.empty()) {
       command = argv[i];
     } else {
