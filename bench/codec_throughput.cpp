@@ -499,10 +499,11 @@ void emit_codec_json() {
         chunk_identical ? "byte-identical" : "DIVERGED");
   }
 
-  // Decode-side mirror (DESIGN.md §13): segment-parallel entropy decode of a
-  // restart-interval stream at 1 and N threads, the serial fused-LUT decode
-  // of a plain stream, and the coefficient-identity check between the
-  // parallel and the forced-serial paths (the determinism contract).
+  // Decode-side mirror (DESIGN.md §13): entropy decode of a restart-interval
+  // stream at 1 and N threads, the serial fused-LUT decode of a plain
+  // stream, and the coefficient-identity check between the segment-parallel
+  // and the serial paths (the determinism contract). A one-lane pool always
+  // takes the serial decoder, so the 1-thread run is the serial baseline.
   {
     jpeg::EncodeOptions eo;
     eo.restart_interval = w / 8;  // one segment per MCU row
@@ -518,11 +519,7 @@ void emit_codec_json() {
     const double dec_msn = bench::min_ms(5, [&] {
       dec_coeffs_n = jpeg::parse(restart_jpg, &pstats);
     });
-    jpeg::set_parallel_decode_enabled(0);
-    const jpeg::CoefficientImage dec_serial = jpeg::parse(restart_jpg);
-    jpeg::set_parallel_decode_enabled(-1);
-    const bool dec_identical =
-        dec_coeffs == dec_serial && dec_coeffs_n == dec_serial;
+    const bool dec_identical = dec_coeffs_n == dec_coeffs;
     // Plain stream, one segment: the serial fused-LUT entropy decoder alone.
     exec::configure(exec::Config{1});
     const double fused_ms = bench::min_ms(5, [&] {

@@ -49,6 +49,10 @@ class ByteReader {
   std::string str();
   /// Reads exactly n raw bytes.
   Bytes raw(std::size_t n);
+  /// Reads a u32 element count and throws ParseError if that many elements
+  /// of at least `min_element_bytes` each cannot fit in the bytes left, so
+  /// an untrusted count is safe to reserve().
+  std::uint32_t count(std::size_t min_element_bytes);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

@@ -84,10 +84,10 @@ Bytes recompress_chunked(const CoefficientImage& coeffs, int quality,
 /// coefficients `src`'s entropy encodes). At the source's own quality most
 /// blocks survive decode→clamp→re-encode exactly — only clamped ROIs and
 /// their ringing change — so a lightly-perturbed image re-encodes a few
-/// segments instead of all of them. The diff only runs when the transcode
-/// preserved geometry and quant tables; otherwise (and on any
-/// serialize_delta precondition miss) the result falls back to the full
-/// path. Output bytes equal recompress_chunked's in every case.
+/// segments instead of all of them. The coefficient diff only runs when
+/// delta_eligible() holds and the transcode preserved geometry and quant
+/// tables; a precondition miss falls back to the full path without one.
+/// Output bytes equal recompress_chunked's in every case.
 Bytes recompress_delta_chunked(const CoefficientImage& reference,
                                const ScanSource& src, int quality,
                                const EncodeOptions& opts = {},

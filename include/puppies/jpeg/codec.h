@@ -110,7 +110,7 @@ struct ParseStats {
   /// Restart segments in the scan (1 when no restart interval is in force).
   int restart_segments = 0;
   /// True iff the scan decoded on the exec pool (segment-parallel path);
-  /// false for single-segment scans, a disabled knob, or a fallback.
+  /// false for single-segment scans, a one-lane pool, or a fallback.
   bool parallel = false;
 };
 
@@ -150,12 +150,13 @@ struct ScanSource {
 /// never an unbounded allocation: SOF dimensions whose pixel footprint
 /// exceeds max_decode_pixels() are rejected before any buffer is sized.
 ///
-/// Scans with restart intervals decode segment-parallel on the exec pool
-/// (each segment gets its own BitReader and fresh DC predictors — the exact
-/// inverse of serialize()'s parallel segment writers); anything the
-/// marker-aware segment scanner cannot cleanly partition falls back to the
-/// serial decoder, so output bytes and error taxonomy are identical to a
-/// serial decode at any thread count.
+/// Scans with restart intervals decode segment-parallel when the exec pool
+/// has more than one lane (each segment gets its own BitReader and fresh DC
+/// predictors — the exact inverse of serialize()'s segment writers);
+/// anything the marker-aware segment scanner cannot cleanly partition falls
+/// back to the serial decoder, so output bytes and error taxonomy are
+/// identical to a serial decode at any thread count. A one-lane pool
+/// (exec::configure({1})) always decodes serially.
 ///
 /// A non-null `source` is filled with the scan's delta-serving context
 /// (entropy bytes + segment table) when the stream has a restart interval
@@ -174,14 +175,21 @@ struct DeltaStats {
   bool fallback = false;
 };
 
-/// Incremental re-encode (DESIGN.md §15): entropy-codes only the restart
-/// segments `dirty` touches and copies every clean segment's bytes verbatim
-/// from `src`, splicing segment·RSTn in scan order under freshly written
-/// headers. Requires HuffmanMode::kStandard, opts.restart_interval ==
-/// src.restart_interval > 0, a standard-table source, matching geometry, and
-/// a `dirty` set sized to this image's MCU grid; ANY precondition miss falls
-/// back to serialize() (same bytes, full cost) and reports
-/// DeltaStats::fallback.
+/// True iff serialize_delta(coeffs, opts, src, ...) can copy segments from
+/// `src`: HuffmanMode::kStandard, opts.restart_interval ==
+/// src.restart_interval > 0, a standard-table source with a well-formed
+/// segment table, and matching geometry. Cheap (no coefficient access), so
+/// callers run it before computing a dirty set.
+bool delta_eligible(const CoefficientImage& coeffs, const EncodeOptions& opts,
+                    const ScanSource& src);
+
+/// Incremental re-encode (DESIGN.md §15): serialize()'s scan writer with a
+/// source — entropy-codes only the restart segments `dirty` touches and
+/// copies every clean segment's bytes verbatim from `src`, splicing
+/// segment·RSTn in scan order under freshly written headers. Requires
+/// delta_eligible() and a `dirty` set sized to this image's MCU grid; ANY
+/// precondition miss falls back to serialize() (same bytes, full cost) and
+/// reports DeltaStats::fallback.
 ///
 /// Contract: the result always parses back to `coeffs` exactly. When `src`
 /// holds canonical entropy bytes — produced by this library's serialize()
@@ -212,15 +220,6 @@ void diff_dirty_mcus(const CoefficientImage& a, const CoefficientImage& b,
 /// caller's cue to decode serially and surface the serial error.
 std::vector<ScanSegment> scan_restart_segments(
     std::span<const std::uint8_t> entropy, int expected_segments);
-
-/// Enables/disables the segment-parallel decode path (default on; the
-/// PUPPIES_PARALLEL_DECODE environment variable set to "0" disables it).
-/// Purely an execution knob: parse output and errors are identical either
-/// way — tests and benches toggle it to difference the two paths.
-bool parallel_decode_enabled();
-
-/// Overrides the knob at runtime; pass -1 to restore env/default resolution.
-void set_parallel_decode_enabled(int enabled);
 
 /// Decoder allocation guard: the largest width*height (in pixels) parse()
 /// will accept from an SOF header. Default 1'000'000'000 (1 GP — both codec

@@ -89,15 +89,19 @@ BENCH_STORE_DIR=$(mktemp -d)
     --blobs 24 --blob-kb 32 --gets 400 )
 rm -rf "$BENCH_STORE_DIR"
 
-# Delta re-encode acceptance gate: the codec bench perturbs a 10%-area ROI
-# on a canonical restart stream and serializes it both ways; the emitted
+# Codec identity gates: the codec bench perturbs a 10%-area ROI on a
+# canonical restart stream and serializes it both ways; the emitted
 # BENCH_codec.json must report the delta output byte-identical to the full
-# serial re-encode, or the delta path is corrupting served images.
+# serial re-encode, or the delta path is corrupting served images. It also
+# decodes a restart stream on one lane (the serial decoder) and on every
+# lane (segment-parallel); the two must be coefficient-identical.
 BENCH_DIR=$(mktemp -d)
 ( cd "$BENCH_DIR" && "$REPO_ROOT/build/bench/codec_throughput" \
     --benchmark_filter='^$' )
 grep -q '"delta_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
   || { echo "BENCH_codec.json: delta output diverged from full re-encode"; exit 1; }
+grep -q '"decode_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
+  || { echo "BENCH_codec.json: parallel decode diverged from serial decode"; exit 1; }
 rm -rf "$BENCH_DIR"
 
 # tests_chunked rides under TSan alongside the store suite: the parallel
@@ -134,4 +138,4 @@ cmake -B build-ubsan -S . -DPUPPIES_SANITIZE=undefined
 cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz
 ./build-ubsan/tests/tests_fuzz
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta byte-identity gate + tests_store/tests_chunked/tests_net/tests_decode/tests_delta under TSan + tests_fuzz under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_delta under TSan + tests_fuzz under ASan/UBSan)"

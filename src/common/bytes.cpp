@@ -76,6 +76,13 @@ std::string ByteReader::str() {
   return s;
 }
 
+std::uint32_t ByteReader::count(std::size_t min_element_bytes) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_element_bytes)
+    throw ParseError("element count exceeds the remaining bytes");
+  return n;
+}
+
 Bytes ByteReader::raw(std::size_t n) {
   need(n);
   Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

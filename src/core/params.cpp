@@ -1,5 +1,7 @@
 #include "puppies/core/params.h"
 
+#include "puppies/jpeg/codec.h"
+
 namespace puppies::core {
 
 namespace {
@@ -76,6 +78,12 @@ PublicParameters PublicParameters::parse(std::span<const std::uint8_t> data) {
   PublicParameters p;
   p.width = in.i32();
   p.height = in.i32();
+  // The same pixel bound the JPEG parser applies to an SOF header.
+  if (p.width <= 0 || p.height <= 0 ||
+      static_cast<std::uint64_t>(p.width) *
+              static_cast<std::uint64_t>(p.height) >
+          jpeg::max_decode_pixels())
+    throw ParseError("bad public-parameter geometry");
   p.components = in.u8();
   if (p.components != 1 && p.components != 3)
     throw ParseError("bad component count");
@@ -85,7 +93,9 @@ PublicParameters PublicParameters::parse(std::span<const std::uint8_t> data) {
   p.chroma = static_cast<jpeg::ChromaMode>(chroma);
   p.luma_qtable = read_qtable(in);
   p.chroma_qtable = read_qtable(in);
-  const std::uint32_t n = in.u32();
+  // Smallest ROI on the wire: id, rect, scheme, mR, K, an empty matrix id,
+  // matrix count and two empty position sets.
+  const std::uint32_t n = in.count(4 + 16 + 1 + 8 + 4 + 4 + 4 + 4);
   p.rois.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) p.rois.push_back(ProtectedRoi::parse(in));
   return p;

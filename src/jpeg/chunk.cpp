@@ -655,22 +655,21 @@ Bytes recompress_delta_chunked(const CoefficientImage& reference,
   ScanIndex scan;
   const CoefficientImage out =
       transcode_chunked(reference, quality, opts.chroma, copt, &scan, stats);
-  // The diff against the reference is only sound when the transcode kept
+  // Diff only when a delta is possible, and only when the transcode kept
   // its geometry and quant tables (stored int16 values are then directly
-  // comparable); anything else marks every MCU and lets serialize_delta's
-  // own preconditions decide between delta and fallback.
+  // comparable); otherwise every MCU is dirty and serialize_delta reports
+  // the fallback.
   DirtyMcuSet dirty;
-  if (out.width() == reference.width() &&
+  dirty.reset(out.mcu_count());
+  if (delta_eligible(out, opts, src) && out.width() == reference.width() &&
       out.height() == reference.height() &&
       out.component_count() == reference.component_count() &&
       out.chroma_mode() == reference.chroma_mode() &&
       out.qtable(0) == reference.qtable(0) &&
-      out.qtable(1) == reference.qtable(1)) {
+      out.qtable(1) == reference.qtable(1))
     diff_dirty_mcus(out, reference, dirty);
-  } else {
-    dirty.reset(out.mcu_count());
+  else
     dirty.mark_all();
-  }
   return serialize_delta(out, opts, src, dirty, &scan, encode_stats,
                          delta_stats);
 }

@@ -32,8 +32,26 @@ constexpr std::uint8_t kSOS = 0xda;
 // is one segment when there is no restart interval). Each segment starts
 // with fresh DC predictors and — because BitWriter::flush() pads to a byte
 // boundary before every RSTn — owns a self-contained byte range, so
-// segments feed statistics gathering and entropy emission independently on
-// the exec pool and concatenate deterministically (DESIGN.md §11).
+// segments feed statistics gathering, entropy emission and decoding
+// independently on the exec pool and concatenate deterministically
+// (DESIGN.md §11, §13).
+
+/// Restart segment s of a scan of `total` MCUs at interval `interval` covers
+/// MCUs [begin(s), end(s)); no restart interval = one segment.
+struct SegmentGrid {
+  SegmentGrid(int total_mcus, int restart_interval)
+      : total(total_mcus),
+        interval(restart_interval),
+        count(interval > 0 ? (total + interval - 1) / interval : 1) {}
+  int begin(int s) const { return interval > 0 ? s * interval : 0; }
+  int end(int s) const {
+    return interval > 0 ? std::min(total, (s + 1) * interval) : total;
+  }
+
+  int total;
+  int interval;
+  int count;
+};
 
 /// Run-length walk of one block driven by its nonzero mask: set bits are
 /// visited via countr_zero, zero runs come from position deltas. Emits
@@ -67,50 +85,26 @@ void walk_block(const CoefBlock& block, std::uint64_t nonzero, int& prev_dc,
 
 int huff_table_id_for_component(int c) { return c == 0 ? 0 : 1; }
 
-/// Visits every block in scan (MCU-interleaved) order. `on_mcu(i)` fires
-/// before MCU i's blocks (restart handling); `visit(component, bx, by)` per
-/// block.
-template <typename OnMcu, typename Visit>
-void for_each_block_in_scan_order(const CoefficientImage& img, OnMcu&& on_mcu,
-                                  Visit&& visit) {
-  const int ncomp = img.component_count();
-  const int mcu_cols = img.blocks_w() / img.component(0).h;
-  const int mcu_rows = img.blocks_h() / img.component(0).v;
-  int mcu_index = 0;
-  for (int my = 0; my < mcu_rows; ++my)
-    for (int mx = 0; mx < mcu_cols; ++mx) {
-      on_mcu(mcu_index++);
-      for (int c = 0; c < ncomp; ++c) {
-        const Component& comp = img.component(c);
-        for (int by = 0; by < comp.v; ++by)
-          for (int bx = 0; bx < comp.h; ++bx)
-            visit(c, mx * comp.h + bx, my * comp.v + by);
-      }
-    }
-}
-
-/// Visits the blocks of MCUs [mcu_begin, mcu_end) in scan order — one
-/// restart segment's worth when a restart interval is in force.
+/// Visits the blocks of MCUs [mcu_begin, mcu_end) in scan (MCU-interleaved)
+/// order — one restart segment's worth when a restart interval is in force.
 template <typename Visit>
 void for_each_block_in_mcu_range(const CoefficientImage& img, int mcu_begin,
                                  int mcu_end, Visit&& visit) {
   const int ncomp = img.component_count();
-  const int mcu_cols = img.blocks_w() / img.component(0).h;
+  const int mcu_cols = img.mcu_cols();
+  int my = mcu_begin / mcu_cols, mx = mcu_begin % mcu_cols;
   for (int m = mcu_begin; m < mcu_end; ++m) {
-    const int my = m / mcu_cols, mx = m % mcu_cols;
     for (int c = 0; c < ncomp; ++c) {
       const Component& comp = img.component(c);
       for (int by = 0; by < comp.v; ++by)
         for (int bx = 0; bx < comp.h; ++bx)
           visit(c, mx * comp.h + bx, my * comp.v + by);
     }
+    if (++mx == mcu_cols) {
+      mx = 0;
+      ++my;
+    }
   }
-}
-
-int total_mcu_count(const CoefficientImage& img) {
-  const int mcu_cols = img.blocks_w() / img.component(0).h;
-  const int mcu_rows = img.blocks_h() / img.component(0).v;
-  return mcu_cols * mcu_rows;
 }
 
 /// Looks up block (bx, by) of component c in a validated ScanIndex.
@@ -122,68 +116,66 @@ inline std::uint64_t mask_at(const ScanIndex& scan, const CoefficientImage& img,
                     static_cast<std::size_t>(bx)];
 }
 
-void gather_segment_statistics(const CoefficientImage& img,
-                               const ScanIndex& scan, int mcu_begin,
-                               int mcu_end, SymbolHistogram& stats) {
-  // DC predictors start at 0: segment begins either at the scan start or
-  // just after a restart marker, both of which reset prediction.
-  std::vector<int> prev_dc(static_cast<std::size_t>(img.component_count()), 0);
+/// The one block walker of the encode side: feeds every symbol of restart
+/// segment s to `dc_sink(table, symbol, value, category)` / `ac_sink(...)`,
+/// with DC predictors starting at 0 (a segment begins either at the scan
+/// start or just after a restart marker, both of which reset prediction).
+/// Histogram gathering and entropy emission both walk through here.
+template <typename DcSink, typename AcSink>
+void walk_segment(const CoefficientImage& img, const ScanIndex& scan,
+                  const SegmentGrid& grid, int s, DcSink&& dc_sink,
+                  AcSink&& ac_sink) {
+  int prev_dc[3] = {0, 0, 0};
   for_each_block_in_mcu_range(
-      img, mcu_begin, mcu_end, [&](int c, int bx, int by) {
+      img, grid.begin(s), grid.end(s), [&](int c, int bx, int by) {
         const int t = huff_table_id_for_component(c);
         walk_block(
             img.component(c).block(bx, by), mask_at(scan, img, c, bx, by),
-            prev_dc[static_cast<std::size_t>(c)],
-            [&](std::uint8_t sym, int, int) { ++stats.freq[0][t][sym]; },
-            [&](std::uint8_t sym, int, int) { ++stats.freq[1][t][sym]; });
-      });
-}
-
-void encode_segment(const CoefficientImage& img, const ScanIndex& scan,
-                    int mcu_begin, int mcu_end,
-                    const HuffmanEncoder dc_enc[2],
-                    const HuffmanEncoder ac_enc[2], BitWriter& bits) {
-  std::vector<int> prev_dc(static_cast<std::size_t>(img.component_count()), 0);
-  for_each_block_in_mcu_range(
-      img, mcu_begin, mcu_end, [&](int c, int bx, int by) {
-        const int t = huff_table_id_for_component(c);
-        walk_block(
-            img.component(c).block(bx, by), mask_at(scan, img, c, bx, by),
-            prev_dc[static_cast<std::size_t>(c)],
+            prev_dc[c],
+            [&](std::uint8_t sym, int v, int cat) { dc_sink(t, sym, v, cat); },
             [&](std::uint8_t sym, int v, int cat) {
-              dc_enc[t].emit_with_magnitude(bits, sym,
-                                            magnitude_bits(v, cat), cat);
-            },
-            [&](std::uint8_t sym, int v, int cat) {
-              ac_enc[t].emit_with_magnitude(bits, sym,
-                                            magnitude_bits(v, cat), cat);
+              ac_sink(t, sym, v, cat);
             });
       });
 }
 
-/// Nonzero masks for every block of `img` via the active nonzero_mask
-/// kernel — the fallback when serialize() is handed coefficients that did
-/// not come through forward_transform (lossless edits, requantize, parse).
-ScanIndex build_scan_index(const CoefficientImage& img) {
+/// Nonzero masks, via the active nonzero_mask kernel, for the blocks of the
+/// segments marked in `encode` — the fallback when the writer is handed
+/// coefficients that did not come through forward_transform (lossless
+/// edits, requantize, parse). Filled on the pool one MCU row at a time;
+/// rows own disjoint blocks, so the fill is race-free.
+ScanIndex build_masks(const CoefficientImage& img, const SegmentGrid& grid,
+                      const std::vector<char>& encode) {
   const kernels::KernelTable& k = kernels::active();
   ScanIndex scan;
   scan.masks.resize(static_cast<std::size_t>(img.component_count()));
-  for (int c = 0; c < img.component_count(); ++c) {
-    const Component& comp = img.component(c);
-    auto& masks = scan.masks[static_cast<std::size_t>(c)];
-    masks.assign(comp.blocks.size(), 0);
-    exec::parallel_for(static_cast<std::size_t>(comp.blocks_h),
-                       [&](std::size_t by) {
-                         const std::size_t row =
-                             by * static_cast<std::size_t>(comp.blocks_w);
-                         for (int bx = 0; bx < comp.blocks_w; ++bx)
-                           masks[row + static_cast<std::size_t>(bx)] =
-                               k.nonzero_mask(
-                                   comp.blocks[row +
-                                               static_cast<std::size_t>(bx)]
-                                       .data());
-                       });
-  }
+  for (int c = 0; c < img.component_count(); ++c)
+    scan.masks[static_cast<std::size_t>(c)].assign(
+        img.component(c).blocks.size(), 0);
+  const int cols = img.mcu_cols();
+  const auto rows = static_cast<std::size_t>(img.mcu_rows());
+  exec::parallel_for(rows, [&](std::size_t row) {
+    const int r = static_cast<int>(row), row_end = (r + 1) * cols;
+    // Walk the row in runs that stay inside one segment: MCU columns
+    // [x0, x1) of segment s.
+    for (int m = r * cols; m < row_end;) {
+      const int s = grid.interval > 0 ? m / grid.interval : 0;
+      const int x0 = m - r * cols;
+      m = std::min(row_end, grid.end(s));
+      if (!encode[static_cast<std::size_t>(s)]) continue;
+      const int x1 = m - r * cols;
+      for (int c = 0; c < img.component_count(); ++c) {
+        const Component& comp = img.component(c);
+        auto& masks = scan.masks[static_cast<std::size_t>(c)];
+        for (int by = r * comp.v; by < (r + 1) * comp.v; ++by) {
+          const std::size_t base = static_cast<std::size_t>(by) * comp.blocks_w;
+          for (int bx = x0 * comp.h; bx < x1 * comp.h; ++bx)
+            masks[base + static_cast<std::size_t>(bx)] = k.nonzero_mask(
+                comp.blocks[base + static_cast<std::size_t>(bx)].data());
+        }
+      }
+    }
+  });
   return scan;
 }
 
@@ -388,46 +380,67 @@ bool ScanIndex::matches(const CoefficientImage& img) const {
   return true;
 }
 
-Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
-                const ScanIndex* scan, EncodeStats* stats) {
+namespace {
+
+/// The one scan writer behind serialize() and serialize_delta(): headers,
+/// every restart segment, segment·RSTn in scan order, EOI. With a `src`,
+/// each segment `dirty` leaves clean is spliced verbatim from the source
+/// scan; every other segment is entropy-coded on the exec pool (fresh DC
+/// predictors, byte-aligned flush), so the bytes never depend on the thread
+/// count. Callers pass a `src` only after delta_eligible() held:
+/// kOptimized never copies, since its tables come from the histogram of
+/// every segment.
+Bytes write_scan(const CoefficientImage& coeffs, const EncodeOptions& opts,
+                 const ScanIndex* scan, EncodeStats* stats,
+                 const ScanSource* src = nullptr,
+                 const DirtyMcuSet* dirty = nullptr,
+                 DeltaStats* delta_stats = nullptr) {
   require(coeffs.component_count() == 1 || coeffs.component_count() == 3,
           "serialize supports 1 or 3 components");
-  // Trust a supplied index only if its shape matches; otherwise rebuild.
-  // Either way the masks are exact, so the output bytes are unaffected —
-  // but a rebuild means the caller fell off the forward_transform fast
-  // path, so make it observable (`store stats --json`).
+  if (stats) *stats = EncodeStats{};
+  const SegmentGrid grid(coeffs.mcu_count(), opts.restart_interval);
+  const auto nseg = static_cast<std::size_t>(grid.count);
+  std::vector<char> encode(nseg, 1);
+  std::vector<int> coded;  // segments to entropy-code, in scan order
+  for (int s = 0; s < grid.count; ++s) {
+    if (src && !dirty->any_in(grid.begin(s), grid.end(s)))
+      encode[static_cast<std::size_t>(s)] = 0;
+    else
+      coded.push_back(s);
+  }
+
+  // Trust a supplied index only if its shape matches; otherwise build masks
+  // for the segments that will be encoded. Either way the masks are exact,
+  // so the output bytes are unaffected — but a full encode that rebuilds
+  // fell off the forward_transform fast path, so make it observable
+  // (`store stats --json`). Skipping the clean segments' blocks is most of
+  // the delta win on lightly-touched images.
   ScanIndex local_scan;
-  if (!scan || !scan->matches(coeffs)) {
-    metrics::counter("psp.codec.scanindex_rebuilds").add();
-    local_scan = build_scan_index(coeffs);
+  if (!coded.empty() && (!scan || !scan->matches(coeffs))) {
+    if (!src) metrics::counter("psp.codec.scanindex_rebuilds").add();
+    local_scan = build_masks(coeffs, grid, encode);
     scan = &local_scan;
   }
 
-  // Restart-segment decomposition of the scan: segment s covers MCUs
-  // [s*R, min((s+1)*R, total)); no restart interval = one segment.
-  const int total_mcus = total_mcu_count(coeffs);
-  const int R = opts.restart_interval;
-  const int nseg = R > 0 ? (total_mcus + R - 1) / R : 1;
-  const auto segment_bounds = [&](int s) {
-    const int m0 = R > 0 ? s * R : 0;
-    return std::pair<int, int>(m0, R > 0 ? std::min(total_mcus, m0 + R)
-                                         : total_mcus);
-  };
-
   HuffmanSpec dc_spec[2] = {std_dc_luma(), std_dc_chroma()};
   HuffmanSpec ac_spec[2] = {std_ac_luma(), std_ac_chroma()};
-  if (stats) *stats = EncodeStats{};
-
   if (opts.huffman == HuffmanMode::kOptimized) {
-    // Per-segment histograms gathered on the pool into preallocated slots,
-    // folded in segment order: identical counts to a serial scan pass.
-    std::vector<SymbolHistogram> seg_hist(static_cast<std::size_t>(nseg));
-    exec::parallel_for(static_cast<std::size_t>(nseg), [&](std::size_t s) {
-      const auto [m0, m1] = segment_bounds(static_cast<int>(s));
-      gather_segment_statistics(coeffs, *scan, m0, m1, seg_hist[s]);
-    });
+    // Histograms gathered on the pool into at most 64 slots (counts add up
+    // the same in any order), then folded.
+    const std::size_t grain = (coded.size() + 63) / 64;
+    std::vector<SymbolHistogram> hist(exec::chunk_count(coded.size(), grain));
+    exec::parallel_for_chunked(
+        coded.size(), grain,
+        [&](std::size_t chunk, std::size_t i0, std::size_t i1) {
+          auto& freq = hist[chunk].freq;
+          for (std::size_t i = i0; i < i1; ++i)
+            walk_segment(
+                coeffs, *scan, grid, coded[i],
+                [&](int t, std::uint8_t sym, int, int) { ++freq[0][t][sym]; },
+                [&](int t, std::uint8_t sym, int, int) { ++freq[1][t][sym]; });
+        });
     SymbolHistogram sym;
-    for (const SymbolHistogram& h : seg_hist) sym.merge(h);
+    for (const SymbolHistogram& h : hist) sym.merge(h);
     dc_spec[0] = build_optimal_spec(sym.freq[0][0]);
     ac_spec[0] = build_optimal_spec(sym.freq[1][0]);
     if (coeffs.component_count() == 3) {
@@ -459,56 +472,96 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
 
   ByteWriter w;
   write_headers(w, coeffs, dc_spec, ac_spec, opts.restart_interval);
-
   Bytes out = w.take();
   const std::size_t entropy_start = out.size();
+  // Segment 0 writes straight into `out` (a single-segment scan gains no
+  // copy); every other encoded segment into its own buffer.
+  std::vector<Bytes> seg(nseg);
+  const auto segment_bytes = [&](int s) -> std::span<const std::uint8_t> {
+    if (encode[static_cast<std::size_t>(s)])
+      return seg[static_cast<std::size_t>(s)];
+    const ScanSegment& r = src->segments[static_cast<std::size_t>(s)];
+    return std::span<const std::uint8_t>(src->entropy)
+        .subspan(r.begin, r.end - r.begin);
+  };
+  if (!encode[0]) {
+    const auto b = segment_bytes(0);
+    out.insert(out.end(), b.begin(), b.end());
+  }
   {
     const HuffmanEncoder dc_enc[2] = {HuffmanEncoder(dc_spec[0]),
                                       HuffmanEncoder(dc_spec[1])};
     const HuffmanEncoder ac_enc[2] = {HuffmanEncoder(ac_spec[0]),
                                       HuffmanEncoder(ac_spec[1])};
-    if (nseg == 1) {
-      // No restart markers: the single segment writes straight into `out`.
-      BitWriter bits(out);
-      encode_segment(coeffs, *scan, 0, total_mcus, dc_enc, ac_enc, bits);
+    exec::parallel_for(coded.size(), [&](std::size_t i) {
+      const int s = coded[i];
+      Bytes& b = s == 0 ? out : seg[static_cast<std::size_t>(s)];
+      const std::size_t b0 = b.size();
+      BitWriter bits(b);
+      walk_segment(
+          coeffs, *scan, grid, s,
+          [&](int t, std::uint8_t sym, int v, int cat) {
+            dc_enc[t].emit_with_magnitude(bits, sym, magnitude_bits(v, cat),
+                                          cat);
+          },
+          [&](int t, std::uint8_t sym, int v, int cat) {
+            ac_enc[t].emit_with_magnitude(bits, sym, magnitude_bits(v, cat),
+                                          cat);
+          });
       bits.flush();
-    } else {
-      // Restart segments are independently encodable: each starts with
-      // fresh DC predictors, and flush() leaves every BitWriter
-      // byte-aligned, so segment bytes never depend on their neighbours.
-      // Encode them on the pool into per-segment buffers, then concatenate
-      // in segment order with the RSTn markers interleaved — byte-identical
-      // to a serial scan writer at any thread count.
-      std::vector<Bytes> seg(static_cast<std::size_t>(nseg));
-      exec::parallel_for(static_cast<std::size_t>(nseg), [&](std::size_t s) {
-        const auto [m0, m1] = segment_bounds(static_cast<int>(s));
-        BitWriter bits(seg[s]);
-        encode_segment(coeffs, *scan, m0, m1, dc_enc, ac_enc, bits);
-        bits.flush();
-        // Fault hook: flip a byte of this finished segment, so tests can
-        // prove a bad parallel worker stays contained to its segment.
-        if (fault::point("jpeg.encode.segment") && !seg[s].empty())
-          seg[s][seg[s].size() / 2] ^= 0x40;
-      });
-      std::size_t entropy_total = 0;
-      for (const Bytes& b : seg) entropy_total += b.size() + 2;
-      out.reserve(out.size() + entropy_total);
-      for (int s = 0; s < nseg; ++s) {
-        const Bytes& b = seg[static_cast<std::size_t>(s)];
-        out.insert(out.end(), b.begin(), b.end());
-        if (s + 1 < nseg) {
-          // Same marker index the serial writer emitted before MCU
-          // (s + 1) * R: ((m / R) - 1) % 8 == s % 8.
-          out.push_back(kMarkerPrefix);
-          out.push_back(static_cast<std::uint8_t>(0xd0 + s % 8));
-        }
-      }
-    }
+      // Fault hook: flip a byte of this finished segment, so tests can
+      // prove a bad worker stays contained to its segment.
+      if (fault::point("jpeg.encode.segment") && b.size() > b0)
+        b[b0 + (b.size() - b0) / 2] ^= 0x40;
+    });
+  }
+
+  std::size_t total = out.size() + 2;  // EOI
+  for (int s = 1; s < grid.count; ++s) total += 2 + segment_bytes(s).size();
+  out.reserve(total);
+  for (int s = 1; s < grid.count; ++s) {
+    // The marker a serial writer emits before MCU s * R: RST((s - 1) % 8).
+    out.push_back(kMarkerPrefix);
+    out.push_back(static_cast<std::uint8_t>(0xd0 + (s - 1) % 8));
+    const auto b = segment_bytes(s);
+    out.insert(out.end(), b.begin(), b.end());
   }
   if (stats) stats->entropy_bytes = out.size() - entropy_start;
   out.push_back(kMarkerPrefix);
   out.push_back(kEOI);
+  if (delta_stats) {
+    delta_stats->segments_total = grid.count;
+    delta_stats->segments_reencoded = static_cast<int>(coded.size());
+    delta_stats->segments_copied = grid.count - delta_stats->segments_reencoded;
+  }
   return out;
+}
+
+}  // namespace
+
+Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
+                const ScanIndex* scan, EncodeStats* stats) {
+  return write_scan(coeffs, opts, scan, stats);
+}
+
+bool delta_eligible(const CoefficientImage& coeffs, const EncodeOptions& opts,
+                    const ScanSource& src) {
+  // Preconditions of the byte-identity contract: standard tables on both
+  // sides, the same restart cadence and the same geometry. Optimized-Huffman
+  // output depends on the global symbol histogram (one dirty MCU retables
+  // every segment), so it can never delta.
+  const int R = opts.restart_interval;
+  if (!(opts.huffman == HuffmanMode::kStandard && R > 0 &&
+        src.restart_interval == R && src.standard_tables &&
+        src.width == coeffs.width() && src.height == coeffs.height() &&
+        src.components == coeffs.component_count() &&
+        src.chroma == coeffs.chroma_mode() &&
+        static_cast<int>(src.segments.size()) ==
+            SegmentGrid(coeffs.mcu_count(), R).count))
+    return false;
+  for (const ScanSegment& r : src.segments)  // malformed = not a usable source
+    if (r.begin > r.end || r.end > src.entropy.size()) return false;
+  return true;
 }
 
 Bytes serialize_delta(const CoefficientImage& coeffs,
@@ -516,138 +569,11 @@ Bytes serialize_delta(const CoefficientImage& coeffs,
                       const DirtyMcuSet& dirty, const ScanIndex* scan,
                       EncodeStats* stats, DeltaStats* delta_stats) {
   if (delta_stats) *delta_stats = DeltaStats{};
-  const int R = opts.restart_interval;
-  const int total_mcus = total_mcu_count(coeffs);
-  const int nseg = R > 0 ? (total_mcus + R - 1) / R : 1;
-  // Preconditions of the byte-identity contract: standard tables on both
-  // sides, the same restart cadence, the same geometry, and a dirty set
-  // sized to this MCU grid. Optimized-Huffman output depends on the global
-  // symbol histogram (one dirty MCU retables every segment), so it can
-  // never delta.
-  bool eligible =
-      opts.huffman == HuffmanMode::kStandard &&
-      R > 0 && src.restart_interval == R && src.standard_tables &&
-      src.width == coeffs.width() && src.height == coeffs.height() &&
-      src.components == coeffs.component_count() &&
-      src.chroma == coeffs.chroma_mode() &&
-      static_cast<int>(src.segments.size()) == nseg &&
-      dirty.total == total_mcus &&
-      (coeffs.component_count() == 1 || coeffs.component_count() == 3);
-  if (eligible)  // malformed segment table = not a usable source
-    for (const ScanSegment& r : src.segments)
-      if (r.begin > r.end || r.end > src.entropy.size()) {
-        eligible = false;
-        break;
-      }
-  if (!eligible) {
+  if (!delta_eligible(coeffs, opts, src) || dirty.total != coeffs.mcu_count()) {
     if (delta_stats) delta_stats->fallback = true;
-    return serialize(coeffs, opts, scan, stats);
+    return write_scan(coeffs, opts, scan, stats);
   }
-
-  // Segment s covers MCUs [s*R, min((s+1)*R, total)); it re-encodes iff the
-  // dirty set intersects that range.
-  std::vector<char> seg_dirty(static_cast<std::size_t>(nseg), 0);
-  std::vector<int> dirty_segs;
-  for (int s = 0; s < nseg; ++s) {
-    const int m0 = s * R;
-    if (dirty.any_in(m0, std::min(total_mcus, m0 + R))) {
-      seg_dirty[static_cast<std::size_t>(s)] = 1;
-      dirty_segs.push_back(s);
-    }
-  }
-
-  if (stats) *stats = EncodeStats{};  // kStandard: saved_bytes stays 0
-
-  const HuffmanSpec dc_spec[2] = {std_dc_luma(), std_dc_chroma()};
-  const HuffmanSpec ac_spec[2] = {std_ac_luma(), std_ac_chroma()};
-  ByteWriter w;
-  write_headers(w, coeffs, dc_spec, ac_spec, R);
-  Bytes out = w.take();
-  const std::size_t entropy_start = out.size();
-
-  // Nonzero masks: trust a matching supplied index, else build a PARTIAL
-  // one covering only the dirty segments' blocks. Skipping the mask scan of
-  // the clean blocks is most of the delta win on lightly-touched images.
-  // Disjoint MCU ranges own disjoint blocks, so the parallel fill is
-  // race-free.
-  ScanIndex partial;
-  const ScanIndex* use_scan = scan && scan->matches(coeffs) ? scan : nullptr;
-  if (!use_scan && !dirty_segs.empty()) {
-    partial.masks.resize(static_cast<std::size_t>(coeffs.component_count()));
-    for (int c = 0; c < coeffs.component_count(); ++c)
-      partial.masks[static_cast<std::size_t>(c)].assign(
-          coeffs.component(c).blocks.size(), 0);
-    const kernels::KernelTable& k = kernels::active();
-    exec::parallel_for(dirty_segs.size(), [&](std::size_t i) {
-      const int s = dirty_segs[i];
-      const int m0 = s * R;
-      for_each_block_in_mcu_range(
-          coeffs, m0, std::min(total_mcus, m0 + R),
-          [&](int c, int bx, int by) {
-            const Component& comp = coeffs.component(c);
-            partial.masks[static_cast<std::size_t>(c)]
-                         [static_cast<std::size_t>(by) * comp.blocks_w +
-                          static_cast<std::size_t>(bx)] =
-                k.nonzero_mask(comp.block(bx, by).data());
-          });
-    });
-    use_scan = &partial;
-  }
-
-  // Dirty segments entropy-code on the pool exactly like serialize()'s
-  // parallel writers (fresh DC predictors, byte-aligned flush); clean
-  // segments are verbatim copies of the source bytes.
-  std::vector<Bytes> seg(static_cast<std::size_t>(nseg));
-  {
-    const HuffmanEncoder dc_enc[2] = {HuffmanEncoder(dc_spec[0]),
-                                      HuffmanEncoder(dc_spec[1])};
-    const HuffmanEncoder ac_enc[2] = {HuffmanEncoder(ac_spec[0]),
-                                      HuffmanEncoder(ac_spec[1])};
-    exec::parallel_for(dirty_segs.size(), [&](std::size_t i) {
-      const int s = dirty_segs[i];
-      const int m0 = s * R;
-      auto& b = seg[static_cast<std::size_t>(s)];
-      BitWriter bits(b);
-      encode_segment(coeffs, *use_scan, m0, std::min(total_mcus, m0 + R),
-                     dc_enc, ac_enc, bits);
-      bits.flush();
-      if (fault::point("jpeg.encode.segment") && !b.empty())
-        b[b.size() / 2] ^= 0x40;
-    });
-  }
-
-  std::size_t entropy_total = 0;
-  for (int s = 0; s < nseg; ++s)
-    entropy_total +=
-        (seg_dirty[static_cast<std::size_t>(s)]
-             ? seg[static_cast<std::size_t>(s)].size()
-             : src.segments[static_cast<std::size_t>(s)].end -
-                   src.segments[static_cast<std::size_t>(s)].begin) +
-        2;
-  out.reserve(out.size() + entropy_total);
-  for (int s = 0; s < nseg; ++s) {
-    if (seg_dirty[static_cast<std::size_t>(s)]) {
-      const Bytes& b = seg[static_cast<std::size_t>(s)];
-      out.insert(out.end(), b.begin(), b.end());
-    } else {
-      const ScanSegment& r = src.segments[static_cast<std::size_t>(s)];
-      out.insert(out.end(), src.entropy.data() + r.begin,
-                 src.entropy.data() + r.end);
-    }
-    if (s + 1 < nseg) {
-      out.push_back(kMarkerPrefix);
-      out.push_back(static_cast<std::uint8_t>(0xd0 + s % 8));
-    }
-  }
-  if (stats) stats->entropy_bytes = out.size() - entropy_start;
-  out.push_back(kMarkerPrefix);
-  out.push_back(kEOI);
-  if (delta_stats) {
-    delta_stats->segments_total = nseg;
-    delta_stats->segments_reencoded = static_cast<int>(dirty_segs.size());
-    delta_stats->segments_copied = nseg - delta_stats->segments_reencoded;
-  }
-  return out;
+  return write_scan(coeffs, opts, scan, stats, &src, &dirty, delta_stats);
 }
 
 void diff_dirty_mcus(const CoefficientImage& a, const CoefficientImage& b,
@@ -747,56 +673,9 @@ constexpr std::size_t kDefaultMaxDecodePixels = 1'000'000'000;
 /// 0 = unset: resolve PUPPIES_MAX_PIXELS, else the default.
 std::atomic<std::size_t> g_max_decode_pixels{0};
 
-/// -1 = unset: resolve PUPPIES_PARALLEL_DECODE, else enabled.
-std::atomic<int> g_parallel_decode{-1};
-
-/// Segment-parallel scan decode — the exact inverse of serialize()'s
-/// parallel segment writers. Returns true iff every segment decoded cleanly
-/// and every non-final segment consumed exactly its byte range; any anomaly
-/// (a ParseError inside a segment, leftover bytes before an RSTn) makes the
-/// caller rerun the serial decoder, which re-deposits every block and owns
-/// the error message. Workers write disjoint blocks of `img`, so success is
-/// bit-identical to the serial decode at any thread count.
-bool try_parallel_decode(CoefficientImage& img,
-                         const std::vector<FrameComponent>& fcs,
-                         const std::vector<HuffmanDecoder>& dc_dec,
-                         const std::vector<HuffmanDecoder>& ac_dec, int R,
-                         int total_mcus, int nseg,
-                         std::span<const std::uint8_t> entropy) {
-  const std::vector<ScanSegment> segs = scan_restart_segments(entropy, nseg);
-  if (static_cast<int>(segs.size()) != nseg) return false;
-  std::atomic<bool> ok{true};
-  exec::parallel_for(static_cast<std::size_t>(nseg), [&](std::size_t s) {
-    if (!ok.load(std::memory_order_relaxed)) return;
-    const int m0 = static_cast<int>(s) * R;
-    const int m1 = std::min(total_mcus, m0 + R);
-    BitReader bits(
-        entropy.subspan(segs[s].begin, segs[s].end - segs[s].begin));
-    std::vector<int> prev_dc(static_cast<std::size_t>(img.component_count()),
-                             0);
-    try {
-      for_each_block_in_mcu_range(img, m0, m1, [&](int c, int bx, int by) {
-        const FrameComponent& fc = fcs[static_cast<std::size_t>(c)];
-        decode_block(bits, dc_dec[static_cast<std::size_t>(fc.dc_table)],
-                     ac_dec[static_cast<std::size_t>(fc.ac_table)],
-                     prev_dc[static_cast<std::size_t>(c)],
-                     img.component(c).block(bx, by));
-      });
-      // A non-final segment must land exactly on its restart boundary (the
-      // condition under which the serial decoder's expect_restart_marker
-      // would have succeeded here). The final segment mirrors the serial
-      // decoder, which ignores trailing bytes after the last MCU.
-      if (s + 1 < static_cast<std::size_t>(nseg) && !bits.at_segment_end())
-        ok.store(false, std::memory_order_relaxed);
-    } catch (const Error&) {
-      ok.store(false, std::memory_order_relaxed);
-    }
-  });
-  return ok.load();
-}
-
 CoefficientImage parse_impl(std::span<const std::uint8_t> data,
                             ParseStats* stats, ScanSource* source) {
+  if (source) *source = ScanSource{};
   ByteReader r(data);
   if (r.u8() != kMarkerPrefix || r.u8() != kSOI)
     throw ParseError("missing SOI");
@@ -953,93 +832,106 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
   const std::size_t entropy_start = data.size() - r.remaining();
   const std::span<const std::uint8_t> entropy = data.subspan(entropy_start);
 
-  const int total_mcus = total_mcu_count(img);
-  const int nseg =
-      restart_interval > 0
-          ? (total_mcus + restart_interval - 1) / restart_interval
-          : 1;
+  const SegmentGrid grid(img.mcu_count(), restart_interval);
   if (stats) {
-    stats->restart_segments = nseg;
+    stats->restart_segments = grid.count;
     stats->parallel = false;
+  }
+
+  // The one MCU-range decode body: restart segment s from `bits`, with fresh
+  // DC predictors. Writes only that segment's blocks.
+  const auto decode_segment = [&](BitReader& bits, int s) {
+    int prev_dc[3] = {0, 0, 0};
+    for_each_block_in_mcu_range(
+        img, grid.begin(s), grid.end(s), [&](int c, int bx, int by) {
+          const FrameComponent& fc = frame_comps[static_cast<std::size_t>(c)];
+          decode_block(bits, dc_dec[static_cast<std::size_t>(fc.dc_table)],
+                       ac_dec[static_cast<std::size_t>(fc.ac_table)],
+                       prev_dc[c], img.component(c).block(bx, by));
+        });
+  };
+
+  // One marker-aware partition serves both the segment-parallel decode and
+  // the retained ScanSource, all or nothing: a scan whose markers do not
+  // partition cleanly gets neither. On a one-lane pool the segment path
+  // would only be the serial decode plus this pre-scan, so it is skipped.
+  const bool parallel = grid.count > 1 && exec::thread_count() > 1;
+  std::vector<ScanSegment> segs;
+  if (restart_interval > 0 && (parallel || source))
+    segs = scan_restart_segments(entropy, grid.count);
+
+  // Segment-parallel decode — the exact inverse of the scan writer. Each
+  // segment gets its own reader over its byte range; workers write disjoint
+  // blocks, so success is bit-identical to the serial decode at any thread
+  // count. Any anomaly (a ParseError inside a segment, leftover bytes before
+  // an RSTn) reruns the serial decoder, which owns the error message.
+  bool decoded = false;
+  if (parallel && !segs.empty()) {
+    std::atomic<bool> ok{true};
+    exec::parallel_for(segs.size(), [&](std::size_t s) {
+      if (!ok.load(std::memory_order_relaxed)) return;
+      BitReader bits(
+          entropy.subspan(segs[s].begin, segs[s].end - segs[s].begin));
+      try {
+        decode_segment(bits, static_cast<int>(s));
+        // A non-final segment must land exactly on its restart boundary
+        // (where the serial decoder's expect_restart_marker succeeds). The
+        // final segment mirrors the serial decoder, which ignores trailing
+        // bytes after the last MCU.
+        if (s + 1 < segs.size() && !bits.at_segment_end())
+          ok.store(false, std::memory_order_relaxed);
+      } catch (const Error&) {
+        ok.store(false, std::memory_order_relaxed);
+      }
+    });
+    decoded = ok.load();
+    if (!decoded) {
+      // A half-written attempt leaves residue in the sparse-write blocks;
+      // restore the all-zero precondition decode_block relies on.
+      for (int c = 0; c < img.component_count(); ++c) {
+        auto& blocks = img.component(c).blocks;
+        std::fill(blocks.begin(), blocks.end(), CoefBlock{});
+      }
+    }
+  }
+  if (decoded) {
+    if (stats) stats->parallel = true;
+  } else {
+    // Serial decode: the segments in order on one reader, RSTn between them.
+    BitReader bits(entropy);
+    for (int s = 0; s < grid.count; ++s) {
+      if (s > 0) bits.expect_restart_marker((s - 1) % 8);
+      decode_segment(bits, s);
+    }
   }
 
   // Retain the delta-serving context on request: the scan's entropy bytes,
   // its segment table, and whether the tables are exactly the standard
-  // specs serialize() assigns. Left !valid() when there is no restart
-  // interval or the markers don't partition cleanly (the same all-or-nothing
-  // contract the parallel decoder applies). Filled before the scan decodes:
-  // if the entropy data turns out corrupt, parse throws and the caller never
-  // sees the ScanSource.
-  if (source) {
-    *source = ScanSource{};
-    if (restart_interval > 0) {
-      std::vector<ScanSegment> segs = scan_restart_segments(entropy, nseg);
-      if (static_cast<int>(segs.size()) == nseg) {
-        source->restart_interval = restart_interval;
-        source->entropy.assign(entropy.data(),
-                               entropy.data() + segs.back().end);
-        source->segments = std::move(segs);
-        bool std_tables = true;
-        for (int c = 0; c < scan_ncomp; ++c) {
-          const FrameComponent& fc = frame_comps[static_cast<std::size_t>(c)];
-          const HuffmanSpec& dc_used = have_huff[0][fc.dc_table]
-                                           ? huff[0][fc.dc_table]
-                                           : std_dc_luma();
-          const HuffmanSpec& ac_used = have_huff[1][fc.ac_table]
-                                           ? huff[1][fc.ac_table]
-                                           : std_ac_luma();
-          if (!(dc_used == std_spec_for_component(0, c)) ||
-              !(ac_used == std_spec_for_component(1, c))) {
-            std_tables = false;
-            break;
-          }
-        }
-        source->standard_tables = std_tables;
-        source->width = width;
-        source->height = height;
-        source->components = scan_ncomp;
-        source->chroma = mode;
+  // specs serialize() assigns. Filled only once the scan decoded, so a
+  // corrupt stream never yields one.
+  if (source && !segs.empty()) {
+    source->restart_interval = restart_interval;
+    source->entropy.assign(entropy.data(), entropy.data() + segs.back().end);
+    source->segments = std::move(segs);
+    bool std_tables = true;
+    for (int c = 0; c < scan_ncomp; ++c) {
+      const FrameComponent& fc = frame_comps[static_cast<std::size_t>(c)];
+      const HuffmanSpec& dc_used =
+          have_huff[0][fc.dc_table] ? huff[0][fc.dc_table] : std_dc_luma();
+      const HuffmanSpec& ac_used =
+          have_huff[1][fc.ac_table] ? huff[1][fc.ac_table] : std_ac_luma();
+      if (!(dc_used == std_spec_for_component(0, c)) ||
+          !(ac_used == std_spec_for_component(1, c))) {
+        std_tables = false;
+        break;
       }
     }
+    source->standard_tables = std_tables;
+    source->width = width;
+    source->height = height;
+    source->components = scan_ncomp;
+    source->chroma = mode;
   }
-
-  if (nseg > 1 && parallel_decode_enabled()) {
-    if (try_parallel_decode(img, frame_comps, dc_dec, ac_dec,
-                            restart_interval, total_mcus, nseg, entropy)) {
-      if (stats) stats->parallel = true;
-      return img;
-    }
-    // A half-written parallel attempt leaves residue in the sparse-write
-    // blocks; restore the all-zero precondition decode_block relies on
-    // before the serial rerun.
-    for (int c = 0; c < img.component_count(); ++c) {
-      auto& blocks = img.component(c).blocks;
-      std::fill(blocks.begin(), blocks.end(), CoefBlock{});
-    }
-  }
-
-  // Serial scan decode: the reference path, and the fallback that owns all
-  // error reporting when the restart structure is malformed (the parallel
-  // path never throws — it re-runs this loop over re-zeroed planes, so a
-  // half-written parallel attempt leaves no residue).
-  BitReader bits(entropy);
-  std::vector<int> prev_dc(static_cast<std::size_t>(scan_ncomp), 0);
-  for_each_block_in_scan_order(
-      img,
-      [&](int mcu) {
-        if (restart_interval > 0 && mcu > 0 && mcu % restart_interval == 0) {
-          bits.expect_restart_marker((mcu / restart_interval - 1) % 8);
-          std::fill(prev_dc.begin(), prev_dc.end(), 0);
-        }
-      },
-      [&](int c, int bx, int by) {
-        const FrameComponent& fc = frame_comps[static_cast<std::size_t>(c)];
-        decode_block(bits, dc_dec[static_cast<std::size_t>(fc.dc_table)],
-                     ac_dec[static_cast<std::size_t>(fc.ac_table)],
-                     prev_dc[static_cast<std::size_t>(c)],
-                     img.component(c).block(bx, by));
-      });
-
   return img;
 }
 
@@ -1062,21 +954,6 @@ std::size_t max_decode_pixels() {
 
 void set_max_decode_pixels(std::size_t pixels) {
   g_max_decode_pixels.store(pixels, std::memory_order_relaxed);
-}
-
-bool parallel_decode_enabled() {
-  const int v = g_parallel_decode.load(std::memory_order_relaxed);
-  if (v >= 0) return v != 0;
-  static const bool resolved = [] {
-    const char* env = std::getenv("PUPPIES_PARALLEL_DECODE");
-    return !(env && std::strcmp(env, "0") == 0);
-  }();
-  return resolved;
-}
-
-void set_parallel_decode_enabled(int enabled) {
-  g_parallel_decode.store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                          std::memory_order_relaxed);
 }
 
 CoefficientImage parse(std::span<const std::uint8_t> data, ParseStats* stats,

@@ -388,7 +388,8 @@ void write_chain(ByteWriter& out, const Chain& chain) {
 }
 
 Chain read_chain(ByteReader& in) {
-  const std::uint32_t n = in.u32();
+  // Wire size of one step: kind byte, six i32 fields, nine i32 kernel taps.
+  const std::uint32_t n = in.count(1 + 6 * 4 + 9 * 4);
   Chain chain;
   chain.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -303,29 +303,35 @@ TEST(ParallelSegments, CorruptSegmentInjectionIsDetectedOrVisible) {
       jpeg::forward_transform(rgb_to_ycc(scene(96, 64)), 75,
                               jpeg::ChromaMode::k444),
       core::Scheme::kBase);
-  jpeg::EncodeOptions opts;
-  opts.restart_interval = 4;  // 96x64 = 96 MCUs -> 24 segments
-  Bytes corrupt;
-  {
-    // fired() counts since arming, and ScopedPlan's disarm resets the
-    // count, so it must be read while the plan is still live.
-    fault::ScopedPlan plan("jpeg.encode.segment=once");
-    corrupt = jpeg::serialize(img, opts);
-    EXPECT_EQ(fault::fired("jpeg.encode.segment"), 1u);
+  // 4: 96x64 = 96 MCUs -> 24 segments; 0: the single-segment scan, which
+  // the same writer (and fault hook) covers.
+  for (int restart : {4, 0}) {
+    jpeg::EncodeOptions opts;
+    opts.restart_interval = restart;
+    Bytes corrupt;
+    {
+      // fired() counts since arming, and ScopedPlan's disarm resets the
+      // count, so it must be read while the plan is still live.
+      fault::ScopedPlan plan("jpeg.encode.segment=once");
+      corrupt = jpeg::serialize(img, opts);
+      EXPECT_EQ(fault::fired("jpeg.encode.segment"), 1u)
+          << "restart " << restart;
+    }
+    // A corrupted worker must never silently produce the clean stream: the
+    // decoder either rejects the stream or decodes something else. Restart
+    // markers bound the blast radius to one segment, so the stream
+    // structure itself usually survives.
+    bool detected = false;
+    try {
+      detected = !(jpeg::parse(corrupt) == img);
+    } catch (const ParseError&) {
+      detected = true;
+    }
+    EXPECT_TRUE(detected) << "restart " << restart;
+    // And with no plan armed, the same encode is clean.
+    ASSERT_EQ(jpeg::parse(jpeg::serialize(img, opts)), img)
+        << "restart " << restart;
   }
-  // A corrupted parallel worker must never silently produce the clean
-  // stream: the decoder either rejects the stream or decodes something
-  // else. Restart markers bound the blast radius to one segment, so the
-  // stream structure itself usually survives.
-  bool detected = false;
-  try {
-    detected = !(jpeg::parse(corrupt) == img);
-  } catch (const ParseError&) {
-    detected = true;
-  }
-  EXPECT_TRUE(detected);
-  // And with no plan armed, the same encode is clean.
-  ASSERT_EQ(jpeg::parse(jpeg::serialize(img, opts)), img);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,17 +54,19 @@ struct ThreadGuard {
   ~ThreadGuard() { exec::configure(exec::Config{}); }
 };
 
-/// Restores the env/default parallel-decode resolution.
-struct DecodeKnobGuard {
-  ~DecodeKnobGuard() { set_parallel_decode_enabled(-1); }
-};
+/// Lanes the segment-parallel side of each differential runs on: more than
+/// one, so parse() takes the segment path whatever the host's core count.
+constexpr int kParallelLanes = 4;
 
-/// Serial reference decode (the pre-existing single-reader path).
+/// Serial reference decode: on a one-lane pool parse() always walks the
+/// segments on a single reader. Callers hold a ThreadGuard; the pool is
+/// left at kParallelLanes.
 CoefficientImage parse_serial(const Bytes& data, ParseStats* stats = nullptr) {
-  set_parallel_decode_enabled(0);
-  CoefficientImage img = parse(data, stats);
-  set_parallel_decode_enabled(-1);
-  return img;
+  exec::configure(exec::Config{1});
+  struct Restore {
+    ~Restore() { exec::configure(exec::Config{kParallelLanes}); }
+  } restore;
+  return parse(data, stats);
 }
 
 std::vector<kernels::SimdTier> supported_tiers() {
@@ -80,7 +82,6 @@ std::vector<kernels::SimdTier> supported_tiers() {
 // Segment-parallel decode vs the serial decoder.
 
 TEST(ParallelDecode, MatchesSerialAcrossRestartChromaAndThreads) {
-  DecodeKnobGuard knob;
   ThreadGuard guard;
   const RgbImage img = scene(120, 88);
   for (int restart : {0, 1, 3, 64}) {
@@ -91,15 +92,15 @@ TEST(ParallelDecode, MatchesSerialAcrossRestartChromaAndThreads) {
       EXPECT_FALSE(serial_stats.parallel);
       for (int threads : {1, 2, 8}) {
         exec::configure(exec::Config{threads});
-        set_parallel_decode_enabled(1);
         ParseStats stats;
         const CoefficientImage got = parse(stream, &stats);
         ASSERT_EQ(got, want) << "restart=" << restart
                              << " chroma=" << static_cast<int>(chroma)
                              << " threads=" << threads;
         EXPECT_EQ(stats.restart_segments, serial_stats.restart_segments);
-        // Multi-segment scans from our own encoder always partition cleanly.
-        EXPECT_EQ(stats.parallel, stats.restart_segments > 1)
+        // Multi-segment scans from our own encoder always partition cleanly;
+        // a one-lane pool decodes serially.
+        EXPECT_EQ(stats.parallel, stats.restart_segments > 1 && threads > 1)
             << "restart=" << restart << " threads=" << threads;
       }
       exec::configure(exec::Config{});
@@ -107,8 +108,9 @@ TEST(ParallelDecode, MatchesSerialAcrossRestartChromaAndThreads) {
   }
 }
 
-TEST(ParallelDecode, ReportsSegmentCountAndKnob) {
-  DecodeKnobGuard knob;
+TEST(ParallelDecode, ReportsSegmentCountAndDecodesSeriallyOnOneLane) {
+  ThreadGuard guard;
+  exec::configure(exec::Config{kParallelLanes});
   const RgbImage img = scene(96, 64);
   // 96x64 in 4:4:4 = 12x8 MCUs; restart every 5 MCUs = ceil(96/5) = 20
   // segments.
@@ -117,14 +119,11 @@ TEST(ParallelDecode, ReportsSegmentCountAndKnob) {
   (void)parse(stream, &stats);
   EXPECT_EQ(stats.restart_segments, 20);
   EXPECT_TRUE(stats.parallel);
-  set_parallel_decode_enabled(0);
-  EXPECT_FALSE(parallel_decode_enabled());
-  ParseStats off;
-  (void)parse(stream, &off);
-  EXPECT_EQ(off.restart_segments, 20);
-  EXPECT_FALSE(off.parallel);
-  set_parallel_decode_enabled(-1);
-  EXPECT_TRUE(parallel_decode_enabled());
+  ParseStats one_lane;
+  const CoefficientImage serial = parse_serial(stream, &one_lane);
+  EXPECT_EQ(one_lane.restart_segments, 20);
+  EXPECT_FALSE(one_lane.parallel);
+  EXPECT_EQ(serial, parse(stream));
   // No restart interval: one segment, nothing to parallelize.
   ParseStats single;
   (void)parse(encode(img, 75, 0), &single);
@@ -136,7 +135,8 @@ TEST(ParallelDecode, MatchesSerialWithStandardTablesAndHighDetail) {
   // Standard (mismatched) tables produce longer codes, exercising the fused
   // LUT's slow-path fallback for codes over 8 bits; a low-quality encode of
   // a busy scene exercises dense AC runs.
-  DecodeKnobGuard knob;
+  ThreadGuard guard;
+  exec::configure(exec::Config{kParallelLanes});
   const RgbImage img = scene(104, 72, 23);
   for (int quality : {25, 92}) {
     const Bytes stream =
@@ -229,39 +229,54 @@ Bytes mutate_stream(const Bytes& base, Rng& rng) {
 
 TEST(FuzzDifferential, ParallelAndSerialAgreeOnMutants) {
   constexpr int kMutants = 2'500;
-  DecodeKnobGuard knob;
+  // Mutants run in batches: each batch decodes on a one-lane pool first
+  // (the serial reference), then on kParallelLanes lanes, so the pool is
+  // rebuilt twice per batch rather than twice per mutant.
+  constexpr int kBatch = 100;
+  ThreadGuard guard;
   const RgbImage img = scene(96, 64, 31);
   const std::vector<Bytes> bases = {
       encode(img, 70, 3),
       encode(img, 55, 1, ChromaMode::k420),
       encode(img, 85, 16, ChromaMode::k444, HuffmanMode::kStandard),
   };
+  struct Outcome {
+    Bytes mutant;
+    bool ok = true;
+    std::string err;
+    CoefficientImage img;
+  };
   Rng rng("decode-differential");
   int rejected = 0;
-  for (int trial = 0; trial < kMutants; ++trial) {
-    const Bytes mutant = mutate_stream(bases[rng.below(bases.size())], rng);
-    bool serial_ok = true;
-    std::string serial_err;
-    CoefficientImage serial_img;
-    try {
-      serial_img = parse_serial(mutant);
-    } catch (const ParseError& e) {
-      serial_ok = false;
-      serial_err = e.what();
+  for (int batch = 0; batch < kMutants; batch += kBatch) {
+    std::vector<Outcome> serial(kBatch);
+    exec::configure(exec::Config{1});
+    for (Outcome& o : serial) {
+      o.mutant = mutate_stream(bases[rng.below(bases.size())], rng);
+      try {
+        o.img = parse(o.mutant);
+      } catch (const ParseError& e) {
+        o.ok = false;
+        o.err = e.what();
+      }
     }
-    set_parallel_decode_enabled(1);
-    try {
-      const CoefficientImage par_img = parse(mutant);
-      ASSERT_TRUE(serial_ok) << "trial " << trial
+    exec::configure(exec::Config{kParallelLanes});
+    for (int i = 0; i < kBatch; ++i) {
+      const Outcome& want = serial[static_cast<std::size_t>(i)];
+      const int trial = batch + i;
+      try {
+        const CoefficientImage par_img = parse(want.mutant);
+        ASSERT_TRUE(want.ok) << "trial " << trial
                              << ": parallel accepted what serial rejected ("
-                             << serial_err << ")";
-      ASSERT_EQ(par_img, serial_img) << "trial " << trial;
-    } catch (const ParseError& e) {
-      ASSERT_FALSE(serial_ok)
-          << "trial " << trial << ": parallel rejected what serial accepted: "
-          << e.what();
-      ASSERT_EQ(std::string(e.what()), serial_err) << "trial " << trial;
-      ++rejected;
+                             << want.err << ")";
+        ASSERT_EQ(par_img, want.img) << "trial " << trial;
+      } catch (const ParseError& e) {
+        ASSERT_FALSE(want.ok)
+            << "trial " << trial
+            << ": parallel rejected what serial accepted: " << e.what();
+        ASSERT_EQ(std::string(e.what()), want.err) << "trial " << trial;
+        ++rejected;
+      }
     }
   }
   EXPECT_GT(rejected, 0);  // the mix must actually reach the reject paths

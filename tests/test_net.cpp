@@ -322,6 +322,26 @@ TEST(Loopback, ErrorsMapToStatuses) {
   server.shutdown();
 }
 
+TEST(Loopback, HostileChainCountIsBadRequest) {
+  const ServerConfig config;
+  Server server(config);
+  server.start();
+  Client client = connect_to(server);
+
+  // A hand-built kApply payload (~20 bytes) claiming 0xFFFFFFFF transform
+  // steps: rejected as a bad request before anything is allocated for it.
+  ByteWriter w;
+  w.str("img-0");
+  w.u8(static_cast<std::uint8_t>(DeliveryMode::kCoefficients));
+  w.i32(75);
+  w.u32(0xFFFFFFFFu);
+  EXPECT_EQ(client.call(Op::kApply, w.take()).status, Status::kBadRequest);
+  // The same connection still serves afterwards.
+  EXPECT_NE(client.stats_json().find("net.requests"), std::string::npos);
+
+  server.shutdown();
+}
+
 TEST(Loopback, RequestByteCapRejectsBeforeAllocation) {
   ServerConfig config;
   config.max_request_bytes = 1024;

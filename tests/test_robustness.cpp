@@ -2,6 +2,10 @@
 // decodable-but-different image), never crashes, hangs, or memory errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "puppies/common/error.h"
 #include "puppies/core/params.h"
 #include "puppies/jpeg/codec.h"
@@ -112,6 +116,30 @@ TEST(Robustness, CorruptedPublicParamsThrowOrParse) {
     const Bytes truncated(data.begin(),
                           data.begin() + static_cast<std::ptrdiff_t>(keep));
     EXPECT_THROW(core::PublicParameters::parse(truncated), ParseError);
+  }
+}
+
+TEST(Robustness, PublicParamsRejectHostileCountAndGeometry) {
+  core::PublicParameters params;
+  params.width = 64;
+  params.height = 48;
+  params.components = 3;
+  params.luma_qtable = jpeg::luma_quant_table(75);
+  params.chroma_qtable = jpeg::chroma_quant_table(75);
+  EXPECT_NO_THROW(core::PublicParameters::parse(params.serialize()));
+
+  // With no ROIs the blob ends in the ROI count: claim 0xFFFFFFFF of them.
+  Bytes huge_count = params.serialize();
+  std::fill(huge_count.end() - 4, huge_count.end(), 0xFF);
+  EXPECT_THROW(core::PublicParameters::parse(huge_count), ParseError);
+
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {0, 48}, {64, 0}, {-8, 48}, {64, -16}, {100'000, 100'000}}) {
+    core::PublicParameters bad = params;
+    bad.width = w;
+    bad.height = h;
+    EXPECT_THROW(core::PublicParameters::parse(bad.serialize()), ParseError)
+        << w << "x" << h;
   }
 }
 

@@ -165,6 +165,19 @@ TEST(Chain, ParseRejectsUnknownKind) {
   EXPECT_THROW(read_chain(r), ParseError);
 }
 
+TEST(Chain, ParseRejectsCountBeyondRemainingBytes) {
+  // A count the remaining bytes cannot hold fails before any allocation:
+  // 0xFFFFFFFF steps, and two steps with only one step's bytes behind them.
+  for (const std::uint32_t count : {0xFFFFFFFFu, 2u}) {
+    ByteWriter w;
+    w.u32(count);
+    w.u8(0);
+    for (int i = 0; i < 6 + 9; ++i) w.i32(0);
+    ByteReader r(w.bytes());
+    EXPECT_THROW(read_chain(r), ParseError) << "count " << count;
+  }
+}
+
 TEST(ApplyLossless, RejectsPixelSteps) {
   const synth::SceneImage scene =
       synth::generate(synth::Dataset::kPascal, 7, 64, 48);
