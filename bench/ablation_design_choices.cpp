@@ -4,7 +4,6 @@
 //  (c) idealized linear-float PSP delivery vs realistic clamp+re-encode.
 #include "bench_common.h"
 #include "puppies/core/pipeline.h"
-#include "puppies/jpeg/lossless.h"
 #include "puppies/image/metrics.h"
 
 using namespace puppies;

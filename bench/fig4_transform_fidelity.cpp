@@ -86,11 +86,11 @@ int main() {
       GrayU8 recovered, reference;
       if (step.lossless()) {
         const jpeg::CoefficientImage transformed =
-            transform::apply_lossless(step, shared.perturbed);
+            transform::apply_lossless({step}, shared.perturbed);
         recovered = to_gray(jpeg::decode_to_rgb(core::recover_lossless(
             transformed, shared.params, {step}, keys)));
         reference = to_gray(
-            jpeg::decode_to_rgb(transform::apply_lossless(step, original)));
+            jpeg::decode_to_rgb(transform::apply_lossless({step}, original)));
       } else {
         const YccImage transformed = transform::apply(
             {step}, jpeg::inverse_transform(shared.perturbed));

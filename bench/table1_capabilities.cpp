@@ -37,10 +37,10 @@ double puppies_recovery_psnr(const jpeg::CoefficientImage& original,
   GrayU8 recovered, reference;
   if (step.lossless()) {
     recovered = to_gray(jpeg::decode_to_rgb(core::recover_lossless(
-        transform::apply_lossless(step, shared.perturbed), shared.params,
+        transform::apply_lossless({step}, shared.perturbed), shared.params,
         {step}, keys)));
-    reference =
-        to_gray(jpeg::decode_to_rgb(transform::apply_lossless(step, original)));
+    reference = to_gray(
+        jpeg::decode_to_rgb(transform::apply_lossless({step}, original)));
   } else {
     recovered = to_gray(ycc_to_rgb(core::recover_pixels(
         transform::apply({step}, jpeg::inverse_transform(shared.perturbed)),
@@ -58,10 +58,11 @@ double p3_recovery_psnr(const jpeg::CoefficientImage& original,
     // Rotations/flips are linear on coefficients, so P3's parts can be
     // jpegtran-transformed and recombined exactly (the paper's check mark).
     const jpeg::CoefficientImage rec =
-        p3::recombine(transform::apply_lossless(step, split.public_part),
-                      transform::apply_lossless(step, split.private_part));
+        p3::recombine(transform::apply_lossless({step}, split.public_part),
+                      transform::apply_lossless({step}, split.private_part));
     return psnr(
-        to_gray(jpeg::decode_to_rgb(transform::apply_lossless(step, original))),
+        to_gray(
+            jpeg::decode_to_rgb(transform::apply_lossless({step}, original))),
         to_gray(jpeg::decode_to_rgb(rec)));
   }
   if (step.kind == transform::Kind::kRecompress) {

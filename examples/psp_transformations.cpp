@@ -46,12 +46,12 @@ int main() {
         jpeg::parse(d.jfif), core::PublicParameters::parse(d.public_params),
         d.chain, channel.ring_for("bob"));
     const jpeg::CoefficientImage reference =
-        transform::apply_lossless(transform::rotate(180), original);
+        transform::apply_lossless({transform::rotate(180)}, original);
     std::printf("rotation 180: recovery %s (coefficient-exact)\n",
                 recovered == reference ? "EXACT" : "NOT exact");
     write_ppm("puppies_out/psp_rotated_stored.ppm",
               jpeg::decode_to_rgb(
-                  transform::apply_lossless(transform::rotate(180),
+                  transform::apply_lossless({transform::rotate(180)},
                                             shared.perturbed)));
     write_ppm("puppies_out/psp_rotated_recovered.ppm",
               jpeg::decode_to_rgb(recovered));

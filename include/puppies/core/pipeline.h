@@ -41,7 +41,11 @@ jpeg::CoefficientImage recover(const jpeg::CoefficientImage& shared,
 
 /// Receiver side, scenario 2, lossless PSP chain (rotate/flip/aligned crop):
 /// exact coefficient-domain recovery. Works for all schemes including
-/// PuPPIeS-Z. Throws if the chain contains a non-lossless step.
+/// PuPPIeS-Z. One inverse block move puts the download back into the
+/// protected geometry, recover runs there, and one forward move replays the
+/// chain. Throws InvalidArgument if the chain contains a non-lossless step,
+/// if the image is not 4:4:4, or if the download's size, component count or
+/// chroma mode contradicts the chain applied to the protected image.
 jpeg::CoefficientImage recover_lossless(
     const jpeg::CoefficientImage& transformed, const PublicParameters& params,
     const transform::Chain& chain, const KeyRing& keys);

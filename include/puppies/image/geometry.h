@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace puppies {
@@ -65,6 +66,64 @@ struct Rect {
   bool operator==(const Rect&) const = default;
 
   std::string to_string() const;
+};
+
+/// One element of the dihedral group D4 acting on a w x h raster: flip
+/// horizontally first (if `flipped`), then rotate `quarter_turns` * 90
+/// degrees clockwise. Every run of rotations and flips reduces to one
+/// element, and a crop commutes through one (crop . D == D . crop'), so a
+/// whole lossless chain is one crop plus one element. This is the library's
+/// one convention for those moves: rect and size mapping, chain folding and
+/// canonicalization, and the coefficient-block and pixel-plane gathers.
+struct Dihedral {
+  int quarter_turns = 0;  ///< 0..3, clockwise
+  bool flipped = false;
+
+  bool identity() const { return quarter_turns == 0 && !flipped; }
+  /// Odd quarter turns swap the axes (and a block's (u, v) frequencies).
+  bool transposes() const { return quarter_turns % 2 != 0; }
+  /// In normal form every element transposes (or not), then mirrors the
+  /// output's x and/or y axis.
+  bool mirrors_x() const {
+    return (quarter_turns == 1 || quarter_turns == 2) !=
+           (flipped && !transposes());
+  }
+  bool mirrors_y() const {
+    return (quarter_turns >= 2) != (flipped && transposes());
+  }
+
+  /// This element followed by `next`.
+  Dihedral then(const Dihedral& next) const {
+    // flip . rot(k) == rot(-k) . flip: a flip in `next` negates the
+    // rotation accumulated so far.
+    const int q = next.flipped ? next.quarter_turns - quarter_turns
+                               : next.quarter_turns + quarter_turns;
+    return Dihedral{(q + 4) % 4, flipped != next.flipped};
+  }
+  Dihedral inverse() const {
+    // Reflections are involutions; rotations turn back.
+    return flipped ? *this : Dihedral{(4 - quarter_turns) % 4, false};
+  }
+
+  /// Size of a w x h raster after this element.
+  std::pair<int, int> output_size(int w, int h) const {
+    return transposes() ? std::pair{h, w} : std::pair{w, h};
+  }
+  /// Where rect `r` of a w x h raster lands.
+  Rect map(const Rect& r, int w, int h) const {
+    Rect out = transposes() ? Rect{r.y, r.x, r.h, r.w} : r;
+    const auto [ow, oh] = output_size(w, h);
+    if (mirrors_x()) out.x = ow - out.right();
+    if (mirrors_y()) out.y = oh - out.bottom();
+    return out;
+  }
+  /// Where pixel (x, y) of a w x h raster lands.
+  std::pair<int, int> map(int x, int y, int w, int h) const {
+    const Rect p = map(Rect{x, y, 1, 1}, w, h);
+    return {p.x, p.y};
+  }
+
+  bool operator==(const Dihedral&) const = default;
 };
 
 /// Splits a set of possibly-overlapping rectangles into disjoint rectangles

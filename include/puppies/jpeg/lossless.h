@@ -4,21 +4,30 @@
 
 namespace puppies::jpeg {
 
-/// Lossless coefficient-domain transforms (jpegtran-style). These are the
-/// PSP-side operations for which PUPPIES achieves bit-exact recovery:
-/// each maps quantized blocks to quantized blocks with no re-rounding.
+/// The lossless coefficient-domain block mover behind every crop, rotate and
+/// flip (transform::apply_lossless and core::recover_lossless): the
+/// PSP-side operations for which PUPPIES achieves bit-exact recovery, since
+/// quantized blocks move to quantized blocks with no re-rounding. jpegtran's
+/// transupp.c (libjpeg) does the same per-block transposes and sign flips.
 ///
-/// Flips and rotations require the image dimensions to be multiples of 8
-/// (the jpegtran "perfect transform" condition); otherwise InvalidArgument.
+/// Writes `d` applied to the pixel rect `from` of `src` into `dst`, with the
+/// result's top-left block at block (to_bx, to_by) of `dst`. `from` starts
+/// on the block grid; a side that is not a multiple of 8 covers its partial
+/// border block. Each output block is the source block d^-1 maps it to, run
+/// through one of eight precomputed zigzag permutation-and-sign tables. It
+/// is a pure gather over output block rows on the exec pool, so the bytes do
+/// not depend on the lane count. Both images must be 4:4:4 with equal
+/// component counts, `from` must lie in src's block grid and the result in
+/// dst's; otherwise InvalidArgument. Quant tables are left to the caller
+/// (see blank_like).
+void move_blocks(const CoefficientImage& src, const Rect& from,
+                 const Dihedral& d, CoefficientImage& dst, int to_bx,
+                 int to_by);
 
-CoefficientImage flip_horizontal(const CoefficientImage& img);
-CoefficientImage flip_vertical(const CoefficientImage& img);
-CoefficientImage transpose(const CoefficientImage& img);
-CoefficientImage rotate90(const CoefficientImage& img);   ///< clockwise
-CoefficientImage rotate180(const CoefficientImage& img);
-CoefficientImage rotate270(const CoefficientImage& img);  ///< counter-clockwise
-
-/// Crops to the 8-aligned pixel rect `r` (must lie inside the image).
-CoefficientImage crop_aligned(const CoefficientImage& img, const Rect& r);
+/// An all-zero w x h image shaped like `img` (components, quant indices)
+/// whose quant tables are img's as `d` leaves them: transposed when `d`
+/// transposes, since Annex-K tables are not symmetric.
+CoefficientImage blank_like(const CoefficientImage& img, int w, int h,
+                            const Dihedral& d);
 
 }  // namespace puppies::jpeg

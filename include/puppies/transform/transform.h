@@ -63,21 +63,34 @@ Step recompress(int quality);
 YccImage apply(const Step& step, const YccImage& img);
 YccImage apply(const Chain& chain, YccImage img);
 
-/// Applies a lossless step in the coefficient domain.
-/// Throws InvalidArgument for non-lossless steps.
-jpeg::CoefficientImage apply_lossless(const Step& step,
-                                      const jpeg::CoefficientImage& img);
+/// A lossless chain folded into one move: crop the pixel rect `source` (the
+/// whole image when the chain crops nothing; 8-aligned otherwise), then
+/// apply `d`.
+struct LosslessMap {
+  Rect source;
+  Dihedral d;
+};
 
-/// Applies a chain of lossless steps in the coefficient domain (throws
-/// InvalidArgument on the first non-lossless step). A non-null `dirty`
-/// reports what the chain did to the MCU grid, feeding
+/// Folds a lossless chain on a w x h image into one LosslessMap. A crop
+/// after a rotation or flip is pulled back through d^-1, since
+/// crop . D == D . crop'. Each step is checked against the geometry it
+/// would see if the chain ran one step at a time: 4:4:4 only (`subsampled`
+/// false), multiple-of-8 sides before a rotate or flip, and an 8-aligned
+/// crop inside the current image. Identity steps are skipped unchecked.
+/// Throws InvalidArgument at the first failing or non-lossless step.
+LosslessMap fold_lossless(const Chain& chain, int w, int h,
+                          bool subsampled);
+
+/// Applies a chain of lossless steps in the coefficient domain: one fold,
+/// then one jpeg::move_blocks gather (throws as fold_lossless does). A
+/// non-null `dirty` reports what the chain did to the MCU grid, feeding
 /// jpeg::serialize_delta: identity steps leave the set untouched (sized
 /// clean on first use, so an all-identity chain copies every segment); any
 /// other lossless step permutes blocks or changes geometry, so the set is
 /// reset to the OUTPUT grid and fully marked — the delta path then falls
 /// back or re-encodes everything, the correct cost for such chains.
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      jpeg::CoefficientImage img,
+                                      const jpeg::CoefficientImage& img,
                                       jpeg::DirtyMcuSet* dirty = nullptr);
 
 /// Maps a pixel rect through a step/chain: where an ROI lands after the PSP

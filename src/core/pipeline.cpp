@@ -1,7 +1,5 @@
 #include "puppies/core/pipeline.h"
 
-#include <tuple>
-
 #include "puppies/exec/parallel_for.h"
 #include "puppies/jpeg/codec.h"
 #include "puppies/jpeg/lossless.h"
@@ -34,48 +32,6 @@ jpeg::CoefficientImage geometry_of(const PublicParameters& params) {
   return jpeg::CoefficientImage(params.width, params.height, params.components,
                                 params.luma_qtable, params.chroma_qtable,
                                 params.chroma);
-}
-
-/// Inverse of one lossless step, given the image size *before* the step.
-jpeg::CoefficientImage invert_lossless(const transform::Step& step,
-                                       const jpeg::CoefficientImage& img,
-                                       int pre_w, int pre_h) {
-  using transform::Kind;
-  switch (step.kind) {
-    case Kind::kIdentity:
-      return img;
-    case Kind::kRotate90:
-      return jpeg::rotate270(img);
-    case Kind::kRotate180:
-      return jpeg::rotate180(img);
-    case Kind::kRotate270:
-      return jpeg::rotate90(img);
-    case Kind::kFlipH:
-      return jpeg::flip_horizontal(img);
-    case Kind::kFlipV:
-      return jpeg::flip_vertical(img);
-    case Kind::kCropAligned: {
-      // "Uncrop": embed into a zero canvas of the pre-crop size. Blocks that
-      // were cropped away stay zero and are cropped away again on replay.
-      jpeg::CoefficientImage canvas(pre_w, pre_h, img.component_count(),
-                                    img.qtable(0), img.qtable(1),
-                                    img.chroma_mode());
-      for (int c = 0; c < img.component_count(); ++c)
-        canvas.component(c).quant_index = img.component(c).quant_index;
-      const Rect br = jpeg::CoefficientImage::pixel_to_block_rect(step.rect);
-      for (int c = 0; c < img.component_count(); ++c) {
-        const jpeg::Component& src = img.component(c);
-        jpeg::Component& dst = canvas.component(c);
-        for (int by = 0; by < src.blocks_h; ++by)
-          for (int bx = 0; bx < src.blocks_w; ++bx)
-            dst.block(br.x + bx, br.y + by) = src.block(bx, by);
-      }
-      return canvas;
-    }
-    default:
-      throw InvalidArgument("recover_lossless: non-lossless step " +
-                            step.to_string());
-  }
 }
 
 }  // namespace
@@ -140,26 +96,28 @@ jpeg::CoefficientImage recover(const jpeg::CoefficientImage& shared,
 jpeg::CoefficientImage recover_lossless(
     const jpeg::CoefficientImage& transformed, const PublicParameters& params,
     const transform::Chain& chain, const KeyRing& keys) {
-  // Sizes before each step, for crop inversion.
-  std::vector<std::pair<int, int>> pre_sizes;
-  int w = params.width, h = params.height;
-  for (const transform::Step& s : chain) {
-    pre_sizes.emplace_back(w, h);
-    std::tie(w, h) = transform::map_size(s, w, h);
-  }
+  // The block moves below index the download's block arrays by the chain's
+  // geometry, so a download that contradicts it is rejected here. The fold
+  // and the moves themselves reject 4:2:0.
+  require(transformed.component_count() == params.components &&
+              transformed.chroma_mode() == params.chroma,
+          "recover_lossless requires a download with the protected image's "
+          "components and chroma");
+  const transform::LosslessMap m = transform::fold_lossless(
+      chain, params.width, params.height, transformed.subsampled());
+  require(std::pair{transformed.width(), transformed.height()} ==
+              transform::map_size(chain, params.width, params.height),
+          "transform chain does not match the downloaded image size");
 
-  // Replay the chain backwards to original geometry.
-  jpeg::CoefficientImage img = transformed;
-  for (std::size_t i = chain.size(); i-- > 0;)
-    img = invert_lossless(chain[i], img, pre_sizes[i].first,
-                          pre_sizes[i].second);
-
-  img = recover(img, params, keys);
-
-  // Replay forwards.
-  for (const transform::Step& s : chain)
-    img = transform::apply_lossless(s, img);
-  return img;
+  // Undo the chain in one move: each downloaded block goes back to where it
+  // came from in a zero canvas of the protected geometry. Blocks the chain
+  // cropped away stay zero and are cropped away again by the forward move.
+  const Dihedral undo = m.d.inverse();
+  jpeg::CoefficientImage canvas =
+      jpeg::blank_like(transformed, params.width, params.height, undo);
+  jpeg::move_blocks(transformed, transformed.bounds(), undo, canvas,
+                    m.source.x / 8, m.source.y / 8);
+  return transform::apply_lossless(chain, recover(canvas, params, keys));
 }
 
 YccImage build_shadow(const PublicParameters& params, const KeyRing& keys) {

@@ -1,6 +1,8 @@
 #include "puppies/transform/transform.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <tuple>
 
 #include "puppies/exec/parallel_for.h"
@@ -158,48 +160,40 @@ Plane<float> scale_plane(const Plane<float>& in, int nw, int nh) {
   return out;
 }
 
-Plane<float> crop_plane(const Plane<float>& in, const Rect& r) {
-  Plane<float> out(r.w, r.h, 0.f);
-  for (int y = 0; y < r.h; ++y)
-    for (int x = 0; x < r.w; ++x) out.at(x, y) = in.at(r.x + x, r.y + y);
+/// The pixel rect `source` of `in` moved through `d`: the plane twin of
+/// jpeg::move_blocks, a pure gather over output rows.
+Plane<float> gather_plane(const Plane<float>& in, const Rect& source,
+                          const Dihedral& d) {
+  const auto [w, h] = d.output_size(source.w, source.h);
+  Plane<float> out(w, h, 0.f);
+  const Dihedral inv = d.inverse();
+  exec::parallel_for(static_cast<std::size_t>(h), [&](std::size_t row) {
+    const int y = static_cast<int>(row);
+    // d^-1 is affine, so the row's source pixels are a fixed stride apart.
+    const auto [x0, y0] = inv.map(0, y, w, h);
+    const auto [x1, y1] = inv.map(1, y, w, h);
+    for (int x = 0; x < w; ++x)
+      out.at(x, y) = in.at(source.x + x0 + x * (x1 - x0),
+                           source.y + y0 + x * (y1 - y0));
+  });
   return out;
 }
 
-Plane<float> rot_plane(const Plane<float>& in, Kind kind) {
-  const int w = in.width(), h = in.height();
-  switch (kind) {
-    case Kind::kRotate90: {
-      Plane<float> out(h, w, 0.f);
-      for (int y = 0; y < w; ++y)
-        for (int x = 0; x < h; ++x) out.at(x, y) = in.at(y, h - 1 - x);
-      return out;
-    }
-    case Kind::kRotate180: {
-      Plane<float> out(w, h, 0.f);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) out.at(x, y) = in.at(w - 1 - x, h - 1 - y);
-      return out;
-    }
-    case Kind::kRotate270: {
-      Plane<float> out(h, w, 0.f);
-      for (int y = 0; y < w; ++y)
-        for (int x = 0; x < h; ++x) out.at(x, y) = in.at(w - 1 - y, x);
-      return out;
-    }
-    case Kind::kFlipH: {
-      Plane<float> out(w, h, 0.f);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) out.at(x, y) = in.at(w - 1 - x, y);
-      return out;
-    }
-    case Kind::kFlipV: {
-      Plane<float> out(w, h, 0.f);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) out.at(x, y) = in.at(x, h - 1 - y);
-      return out;
-    }
+/// The D4 element of a rotation or flip step; nullopt for other kinds.
+std::optional<Dihedral> dihedral_of(Kind k) {
+  switch (k) {
+    case Kind::kRotate90:
+      return Dihedral{1, false};
+    case Kind::kRotate180:
+      return Dihedral{2, false};
+    case Kind::kRotate270:
+      return Dihedral{3, false};
+    case Kind::kFlipH:
+      return Dihedral{0, true};
+    case Kind::kFlipV:
+      return Dihedral{2, true};  // flip_v == rot180 . flip_h
     default:
-      throw InvalidArgument("rot_plane: not a rotation/flip");
+      return std::nullopt;
   }
 }
 
@@ -239,15 +233,17 @@ YccImage apply(const Step& step, const YccImage& img) {
                        });
     case Kind::kCropAligned:
       require(img.bounds().contains(step.rect), "crop rect outside image");
-      return per_plane(
-          img, [&](const Plane<float>& p) { return crop_plane(p, step.rect); });
+      return per_plane(img, [&](const Plane<float>& p) {
+        return gather_plane(p, step.rect, Dihedral{});
+      });
     case Kind::kRotate90:
     case Kind::kRotate180:
     case Kind::kRotate270:
     case Kind::kFlipH:
     case Kind::kFlipV:
-      return per_plane(
-          img, [&](const Plane<float>& p) { return rot_plane(p, step.kind); });
+      return per_plane(img, [&](const Plane<float>& p) {
+        return gather_plane(p, p.bounds(), *dihedral_of(step.kind));
+      });
     case Kind::kFilter3x3:
       return per_plane(img, [&](const Plane<float>& p) {
         return convolve_plane(p, step.kernel);
@@ -267,48 +263,63 @@ YccImage apply(const Chain& chain, YccImage img) {
   return img;
 }
 
-jpeg::CoefficientImage apply_lossless(const Step& step,
-                                      const jpeg::CoefficientImage& img) {
-  switch (step.kind) {
-    case Kind::kIdentity:
-      return img;
-    case Kind::kCropAligned:
-      return jpeg::crop_aligned(img, step.rect);
-    case Kind::kRotate90:
-      return jpeg::rotate90(img);
-    case Kind::kRotate180:
-      return jpeg::rotate180(img);
-    case Kind::kRotate270:
-      return jpeg::rotate270(img);
-    case Kind::kFlipH:
-      return jpeg::flip_horizontal(img);
-    case Kind::kFlipV:
-      return jpeg::flip_vertical(img);
-    default:
-      throw InvalidArgument("transform step is not lossless: " +
-                            step.to_string());
+LosslessMap fold_lossless(const Chain& chain, int w, int h,
+                          bool subsampled) {
+  LosslessMap m{Rect{0, 0, w, h}, Dihedral{}};
+  for (const Step& s : chain) {
+    if (s.kind == Kind::kIdentity) continue;  // no blocks move
+    require(s.lossless(),
+            "transform step is not lossless: " + s.to_string());
+    require(!subsampled,
+            "lossless coefficient transforms require 4:4:4 (transcode "
+            "subsampled images through the pixel path)");
+    const auto [cw, ch] = m.d.output_size(m.source.w, m.source.h);
+    if (s.kind == Kind::kCropAligned) {
+      const Rect& r = s.rect;
+      // Written so that no sum of a hostile chain's fields can overflow.
+      require(r.x >= 0 && r.y >= 0 && r.w > 0 && r.h > 0 &&
+                  r.x <= cw - r.w && r.y <= ch - r.h,
+              "crop rect outside image");
+      require(r.x % 8 == 0 && r.y % 8 == 0 && r.w % 8 == 0 && r.h % 8 == 0,
+              "pixel rect must be 8x8-block aligned");
+      // crop . D == D . crop': pull the rect back into source coordinates.
+      const Rect back = m.d.inverse().map(r, cw, ch);
+      m.source = Rect{m.source.x + back.x, m.source.y + back.y, back.w, back.h};
+    } else {
+      require(cw % 8 == 0 && ch % 8 == 0,
+              "lossless flip/rotate requires multiple-of-8 dimensions");
+      m.d = m.d.then(*dihedral_of(s.kind));
+    }
   }
+  return m;
 }
 
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      jpeg::CoefficientImage img,
+                                      const jpeg::CoefficientImage& img,
                                       jpeg::DirtyMcuSet* dirty) {
-  bool rewritten = false;
-  for (const Step& s : chain) {
-    if (s.kind == Kind::kIdentity) continue;  // no blocks move
-    img = apply_lossless(s, img);
-    rewritten = true;
+  const LosslessMap m =
+      fold_lossless(chain, img.width(), img.height(), img.subsampled());
+  jpeg::CoefficientImage out;
+  if (m.source == img.bounds() && m.d.identity()) {
+    out = img;
+  } else {
+    const auto [w, h] = m.d.output_size(m.source.w, m.source.h);
+    out = jpeg::blank_like(img, w, h, m.d);
+    jpeg::move_blocks(img, m.source, m.d, out, 0, 0);
   }
   if (dirty) {
     // Crops/rotates/flips permute every block (and may change the grid), so
     // no source segment's entropy bytes survive: size the set to the output
     // grid and mark it wholesale. Identity-only chains leave a clean set of
     // the (unchanged) grid — every segment copies.
-    if (rewritten || dirty->total != img.mcu_count())
-      dirty->reset(img.mcu_count());
+    const bool rewritten =
+        std::any_of(chain.begin(), chain.end(),
+                    [](const Step& s) { return s.kind != Kind::kIdentity; });
+    if (rewritten || dirty->total != out.mcu_count())
+      dirty->reset(out.mcu_count());
     if (rewritten) dirty->mark_all();
   }
-  return img;
+  return out;
 }
 
 std::pair<int, int> map_size(const Step& step, int w, int h) {
@@ -317,10 +328,8 @@ std::pair<int, int> map_size(const Step& step, int w, int h) {
       return {step.arg0, step.arg1};
     case Kind::kCropAligned:
       return {step.rect.w, step.rect.h};
-    case Kind::kRotate90:
-    case Kind::kRotate270:
-      return {h, w};
     default:
+      if (const auto d = dihedral_of(step.kind)) return d->output_size(w, h);
       return {w, h};
   }
 }
@@ -346,17 +355,8 @@ Rect map_rect(const Step& step, const Rect& r, int w, int h) {
       return Rect{inter.x - step.rect.x, inter.y - step.rect.y, inter.w,
                   inter.h};
     }
-    case Kind::kRotate90:
-      return Rect{h - r.bottom(), r.x, r.h, r.w};
-    case Kind::kRotate180:
-      return Rect{w - r.right(), h - r.bottom(), r.w, r.h};
-    case Kind::kRotate270:
-      return Rect{r.y, w - r.right(), r.h, r.w};
-    case Kind::kFlipH:
-      return Rect{w - r.right(), r.y, r.w, r.h};
-    case Kind::kFlipV:
-      return Rect{r.x, h - r.bottom(), r.w, r.h};
     default:
+      if (const auto d = dihedral_of(step.kind)) return d->map(r, w, h);
       return r;
   }
 }
@@ -437,74 +437,34 @@ Step normalized(const Step& s) {
   return out;
 }
 
-bool is_rot_or_flip(Kind k) {
-  return k == Kind::kRotate90 || k == Kind::kRotate180 ||
-         k == Kind::kRotate270 || k == Kind::kFlipH || k == Kind::kFlipV;
-}
-
-/// Accumulated dihedral element: flip_h first (if `flipped`), then rotate
-/// `quarter_turns` * 90 degrees clockwise. Every composition of rotations
-/// and flips reduces to this form; both reductions below are exact because
-/// each operation is a pure permutation of pixels (and, in the coefficient
-/// domain, of blocks with fixed sign patterns that obey the same group law).
-struct Dihedral {
-  int quarter_turns = 0;
-  bool flipped = false;
-
-  void compose(Kind k) {
-    switch (k) {
-      case Kind::kRotate90:
-        quarter_turns = (quarter_turns + 1) % 4;
-        break;
-      case Kind::kRotate180:
-        quarter_turns = (quarter_turns + 2) % 4;
-        break;
-      case Kind::kRotate270:
-        quarter_turns = (quarter_turns + 3) % 4;
-        break;
-      case Kind::kFlipH:
-        // flipH . rot(k) == rot(-k) . flipH, so pulling the new flip
-        // through the accumulated rotation negates it.
-        quarter_turns = (4 - quarter_turns) % 4;
-        flipped = !flipped;
-        break;
-      case Kind::kFlipV:
-        // flipV == rot180 . flipH.
-        compose(Kind::kFlipH);
-        quarter_turns = (quarter_turns + 2) % 4;
-        break;
-      default:
-        throw InvalidArgument("not a rotation/flip");
-    }
-  }
-
-  void emit(Chain& out) const {
-    if (flipped) out.push_back(flip_h());
-    if (quarter_turns != 0) out.push_back(rotate(quarter_turns * 90));
-  }
-};
-
 }  // namespace
 
 Chain canonicalize(const Chain& chain) {
   Chain out;
+  // The current run of rotations/flips, folded into one D4 element. Both
+  // reductions are exact: each operation is a pure permutation of pixels
+  // (and, in the coefficient domain, of blocks with fixed sign patterns
+  // that obey the same group law).
   Dihedral run;
   bool in_run = false;
+  const auto emit_run = [&] {
+    if (!in_run) return;
+    if (run.flipped) out.push_back(flip_h());
+    if (run.quarter_turns != 0) out.push_back(rotate(run.quarter_turns * 90));
+    run = Dihedral{};
+    in_run = false;
+  };
   for (const Step& s : chain) {
     if (s.kind == Kind::kIdentity) continue;
-    if (is_rot_or_flip(s.kind)) {
-      run.compose(s.kind);
+    if (const auto d = dihedral_of(s.kind)) {
+      run = run.then(*d);
       in_run = true;
       continue;
     }
-    if (in_run) {
-      run.emit(out);
-      run = Dihedral{};
-      in_run = false;
-    }
+    emit_run();
     out.push_back(normalized(s));
   }
-  if (in_run) run.emit(out);
+  emit_run();
   return out;
 }
 

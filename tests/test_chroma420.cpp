@@ -6,7 +6,6 @@
 #include "puppies/core/pipeline.h"
 #include "puppies/image/metrics.h"
 #include "puppies/jpeg/codec.h"
-#include "puppies/jpeg/lossless.h"
 #include "puppies/synth/synth.h"
 
 namespace puppies {
@@ -94,9 +93,11 @@ TEST(Chroma420, SmallerFilesThan444) {
 
 TEST(Chroma420, LosslessTransformsRejectSubsampled) {
   const jpeg::CoefficientImage img = coeffs420(4, 96, 64);
-  EXPECT_THROW(jpeg::rotate90(img), InvalidArgument);
-  EXPECT_THROW(jpeg::flip_horizontal(img), InvalidArgument);
-  EXPECT_THROW(jpeg::crop_aligned(img, Rect{0, 0, 16, 16}), InvalidArgument);
+  for (const transform::Step& s :
+       {transform::rotate(90), transform::flip_h(),
+        transform::crop_aligned(Rect{0, 0, 16, 16})})
+    EXPECT_THROW(transform::apply_lossless({s}, img), InvalidArgument)
+        << s.to_string();
 }
 
 TEST(Chroma420, PerturbRecoverRoundTripAllSchemes) {

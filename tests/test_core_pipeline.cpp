@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "puppies/core/pipeline.h"
 #include "puppies/image/metrics.h"
 #include "puppies/jpeg/codec.h"
 #include "puppies/synth/synth.h"
+
+#include "lossless_reference.h"
 
 namespace puppies::core {
 namespace {
@@ -108,41 +112,58 @@ TEST(Recover, PublicParamsSurviveSerialization) {
   EXPECT_EQ(recover(result.perturbed, parsed, keys), f.original);
 }
 
+/// Lemma III.1 on every lossless chain of up to 4 steps. The parameter is a
+/// chain prefix; the test extends it by every chain over the differential
+/// alphabet (lossless_reference.h) up to 4 steps in all, and every chain the
+/// PSP can apply to the image must recover exactly, for schemes C and Z.
 class LosslessChainRecovery
     : public ::testing::TestWithParam<transform::Chain> {};
 
 TEST_P(LosslessChainRecovery, ExactAfterPspTransform) {
   const Fixture f;
-  const transform::Chain chain = GetParam();
+  const transform::Chain& prefix = GetParam();
+  const std::vector<transform::Chain> suffixes =
+      transform::reference::all_chains(
+          transform::reference::lossless_alphabet(f.original.width(),
+                                                  f.original.height()),
+          4 - static_cast<int>(prefix.size()));
+  KeyRing keys;
+  keys.add(f.face_key);
+  keys.add(f.plate_key);
   for (const Scheme scheme : {Scheme::kCompression, Scheme::kZero}) {
     const ProtectResult result = protect(f.original, two_policies(f, scheme));
-    // PSP applies the chain to the perturbed coefficients.
-    jpeg::CoefficientImage transformed = result.perturbed;
-    for (const transform::Step& s : chain)
-      transformed = transform::apply_lossless(s, transformed);
-
-    KeyRing keys;
-    keys.add(f.face_key);
-    keys.add(f.plate_key);
-    const jpeg::CoefficientImage recovered =
-        recover_lossless(transformed, result.params, chain, keys);
-
-    // Reference: the PSP transforms the ORIGINAL image.
-    jpeg::CoefficientImage reference = f.original;
-    for (const transform::Step& s : chain)
-      reference = transform::apply_lossless(s, reference);
-    EXPECT_EQ(recovered, reference) << to_string(scheme);
+    int applied = 0;
+    for (const transform::Chain& suffix : suffixes) {
+      transform::Chain chain = prefix;
+      chain.insert(chain.end(), suffix.begin(), suffix.end());
+      // The PSP applies the chain to the perturbed coefficients; it refuses
+      // chains the image's geometry cannot take.
+      const auto transformed = transform::reference::outcome_of(
+          [&] { return transform::apply_lossless(chain, result.perturbed); });
+      if (!transformed.value) continue;
+      ++applied;
+      const jpeg::CoefficientImage recovered =
+          recover_lossless(*transformed.value, result.params, chain, keys);
+      // Reference: the PSP transforms the ORIGINAL image.
+      ASSERT_TRUE(recovered == transform::apply_lossless(chain, f.original))
+          << to_string(scheme) << ": "
+          << transform::reference::chain_name(chain);
+    }
+    EXPECT_GT(applied, 0);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Chains, LosslessChainRecovery,
     ::testing::Values(
+        transform::Chain{transform::identity()},
         transform::Chain{transform::rotate(90)},
         transform::Chain{transform::rotate(180)},
         transform::Chain{transform::rotate(270)},
         transform::Chain{transform::flip_h()},
         transform::Chain{transform::flip_v()},
+        transform::Chain{transform::crop_aligned(Rect{8, 8, 64, 48})},
+        transform::Chain{transform::crop_aligned(Rect{32, 8, 96, 88})},
         transform::Chain{transform::crop_aligned(Rect{8, 8, 96, 64})},
         transform::Chain{transform::rotate(90), transform::flip_h()},
         transform::Chain{transform::crop_aligned(Rect{0, 0, 64, 64}),
@@ -164,14 +185,65 @@ TEST(RecoverLossless, CropDiscardsRoiOutsideWindow) {
   // Crop keeps only the first ROI area.
   const transform::Chain chain{transform::crop_aligned(Rect{0, 0, 64, 48})};
   jpeg::CoefficientImage transformed =
-      transform::apply_lossless(chain[0], result.perturbed);
+      transform::apply_lossless(chain, result.perturbed);
   KeyRing keys;
   keys.add(f.face_key);
   keys.add(f.plate_key);
   const jpeg::CoefficientImage recovered =
       recover_lossless(transformed, result.params, chain, keys);
-  EXPECT_EQ(recovered,
-            transform::apply_lossless(chain[0], f.original));
+  EXPECT_EQ(recovered, transform::apply_lossless(chain, f.original));
+}
+
+TEST(RecoverLossless, RejectsDownloadThatContradictsTheChain) {
+  const Fixture f;
+  const ProtectResult result = protect(f.original, two_policies(f));
+  KeyRing keys;
+  keys.add(f.face_key);
+  // A claimed 64x48 crop served as a 32x32 image.
+  const jpeg::CoefficientImage small = transform::apply_lossless(
+      {transform::crop_aligned(Rect{0, 0, 32, 32})}, result.perturbed);
+  EXPECT_THROW(
+      recover_lossless(small, result.params,
+                       {transform::crop_aligned(Rect{64, 48, 64, 48})}, keys),
+      InvalidArgument);
+  // A claimed crop served uncropped.
+  EXPECT_THROW(
+      recover_lossless(result.perturbed, result.params,
+                       {transform::crop_aligned(Rect{0, 0, 64, 48})}, keys),
+      InvalidArgument);
+  // A claimed quarter turn of the 128x96 image served unturned.
+  EXPECT_THROW(recover_lossless(result.perturbed, result.params,
+                                {transform::rotate(90)}, keys),
+               InvalidArgument);
+  // A hostile crop whose right edge overflows int.
+  transform::Step far;
+  far.kind = transform::Kind::kCropAligned;
+  far.rect = Rect{std::numeric_limits<int>::max() - 7, 0, 16, 16};
+  EXPECT_THROW(recover_lossless(small, result.params, {far}, keys),
+               InvalidArgument);
+}
+
+TEST(RecoverLossless, RejectsSubsampledOrMismatchedComponents) {
+  const Fixture f;
+  const ProtectResult result = protect(f.original, two_policies(f));
+  KeyRing keys;
+  keys.add(f.face_key);
+  const jpeg::CoefficientImage subsampled = jpeg::forward_transform(
+      rgb_to_ycc(f.scene.image), 75, jpeg::ChromaMode::k420);
+  EXPECT_THROW(recover_lossless(subsampled, result.params,
+                                {transform::identity()}, keys),
+               InvalidArgument);
+  const jpeg::CoefficientImage gray(128, 96, 1, result.params.luma_qtable,
+                                    result.params.chroma_qtable);
+  EXPECT_THROW(
+      recover_lossless(gray, result.params, {transform::flip_h()}, keys),
+      InvalidArgument);
+  // Parameters of a 4:2:0 image served as 4:4:4.
+  PublicParameters params420 = result.params;
+  params420.chroma = jpeg::ChromaMode::k420;
+  EXPECT_THROW(recover_lossless(result.perturbed, params420,
+                                {transform::identity()}, keys),
+               InvalidArgument);
 }
 
 TEST(RecoverPixels, ScalingRecoveryIsNearExact) {

@@ -2,12 +2,15 @@
 
 #include "puppies/common/rng.h"
 #include "puppies/common/error.h"
+#include "puppies/exec/pool.h"
 #include "puppies/image/draw.h"
 #include "puppies/image/metrics.h"
 #include "puppies/jpeg/bitio.h"
 #include "puppies/jpeg/codec.h"
-#include "puppies/jpeg/lossless.h"
 #include "puppies/synth/synth.h"
+#include "puppies/transform/transform.h"
+
+#include "lossless_reference.h"
 
 namespace puppies::jpeg {
 namespace {
@@ -158,24 +161,45 @@ TEST(Codec, RequantizeChangesTablesAndPreservesContent) {
   EXPECT_GT(psnr(scene.image, decode_to_rgb(requant)), 22.0);
 }
 
+// Lossless transforms: the library's one folded block gather
+// (transform::apply_lossless) against the step-at-a-time reference.
+
+using transform::apply_lossless;
+
 TEST(Lossless, Rotate90FourTimesIsIdentity) {
   Rng rng("lossless-rot");
   const CoefficientImage img = random_coefficients(rng, 32, 24, 3);
-  EXPECT_EQ(rotate90(rotate90(rotate90(rotate90(img)))), img);
+  const transform::Step r = transform::rotate(90);
+  EXPECT_EQ(apply_lossless({r, r, r, r}, img), img);
+  CoefficientImage turned = img;
+  for (int i = 0; i < 4; ++i) {
+    const CoefficientImage next = apply_lossless({r}, turned);
+    EXPECT_EQ(next, reference::rotate90(turned)) << "turn " << i;
+    turned = next;
+  }
+  EXPECT_EQ(turned, img);
 }
 
 TEST(Lossless, FlipsAreInvolutions) {
   Rng rng("lossless-flip");
   const CoefficientImage img = random_coefficients(rng, 32, 24, 3);
-  EXPECT_EQ(flip_horizontal(flip_horizontal(img)), img);
-  EXPECT_EQ(flip_vertical(flip_vertical(img)), img);
-  EXPECT_EQ(transpose(transpose(img)), img);
+  for (const transform::Step& f : {transform::flip_h(), transform::flip_v()}) {
+    EXPECT_EQ(apply_lossless({f, f}, img), img) << f.to_string();
+    EXPECT_EQ(apply_lossless({f}, apply_lossless({f}, img)), img);
+  }
+  // A transpose is flip_h then rotate(270).
+  const transform::Chain transpose{transform::flip_h(), transform::rotate(270)};
+  EXPECT_EQ(apply_lossless(transpose, img), reference::transpose(img));
+  EXPECT_EQ(apply_lossless(transpose, apply_lossless(transpose, img)), img);
 }
 
 TEST(Lossless, Rotate180EqualsBothFlips) {
   Rng rng("lossless-180");
   const CoefficientImage img = random_coefficients(rng, 32, 24, 3);
-  EXPECT_EQ(rotate180(img), flip_vertical(flip_horizontal(img)));
+  EXPECT_EQ(apply_lossless({transform::rotate(180)}, img),
+            apply_lossless({transform::flip_h(), transform::flip_v()}, img));
+  EXPECT_EQ(apply_lossless({transform::rotate(180)}, img),
+            reference::flip_vertical(reference::flip_horizontal(img)));
 }
 
 TEST(Lossless, CoefficientRotationMatchesPixelRotation) {
@@ -183,7 +207,8 @@ TEST(Lossless, CoefficientRotationMatchesPixelRotation) {
       synth::generate(synth::Dataset::kPascal, 9, 64, 48);
   const CoefficientImage img = forward_transform(rgb_to_ycc(scene.image), 80);
   const GrayU8 rotated_pixels = [&] {
-    const RgbImage dec = decode_to_rgb(rotate90(img));
+    const RgbImage dec =
+        decode_to_rgb(apply_lossless({transform::rotate(90)}, img));
     return to_gray(dec);
   }();
   // Rotate the decoded original in the pixel domain.
@@ -200,19 +225,68 @@ TEST(Lossless, CropAlignedExtractsBlocks) {
   Rng rng("lossless-crop");
   const CoefficientImage img = random_coefficients(rng, 64, 64, 3);
   const Rect r{16, 24, 32, 16};
-  const CoefficientImage cropped = crop_aligned(img, r);
+  const CoefficientImage cropped =
+      apply_lossless({transform::crop_aligned(r)}, img);
   EXPECT_EQ(cropped.width(), 32);
   EXPECT_EQ(cropped.height(), 16);
   EXPECT_EQ(cropped.component(0).block(0, 0), img.component(0).block(2, 3));
   EXPECT_EQ(cropped.component(2).block(3, 1), img.component(2).block(5, 4));
+  EXPECT_EQ(cropped, reference::crop_aligned(img, r));
 }
 
 TEST(Lossless, NonAlignedDimensionsThrow) {
   Rng rng("lossless-bad");
   const CoefficientImage img = random_coefficients(rng, 36, 24, 3);
-  EXPECT_THROW(rotate90(img), InvalidArgument);
+  EXPECT_THROW(apply_lossless({transform::rotate(90)}, img), InvalidArgument);
+  // Cropping to 8-aligned sides first makes the rotation legal.
+  const transform::Chain cropped_first{
+      transform::crop_aligned(Rect{0, 0, 32, 24}), transform::rotate(90)};
+  EXPECT_EQ(apply_lossless(cropped_first, img),
+            reference::rotate90(
+                reference::crop_aligned(img, Rect{0, 0, 32, 24})));
   const CoefficientImage ok = random_coefficients(rng, 32, 24, 3);
-  EXPECT_THROW(crop_aligned(ok, Rect{3, 0, 8, 8}), InvalidArgument);
+  transform::Step unaligned;  // the factory refuses this rect
+  unaligned.kind = transform::Kind::kCropAligned;
+  unaligned.rect = Rect{3, 0, 8, 8};
+  EXPECT_THROW(apply_lossless({unaligned}, ok), InvalidArgument);
+}
+
+TEST(Lossless, EngineMatchesPerStepReferenceOnEveryChain) {
+  // Every chain of up to 4 steps: same coefficients, quant tables, dirty
+  // set and exception type as the step-at-a-time reference, at one pool
+  // lane and at four.
+  struct Restore {
+    ~Restore() { exec::configure(exec::Config{}); }
+  } restore;
+  Rng rng("lossless-diff");
+  const std::vector<CoefficientImage> images = {
+      random_coefficients(rng, 64, 48, 3),   // multiple-of-8 sides
+      random_coefficients(rng, 60, 44, 3),   // bare rotates/flips throw
+      random_coefficients(rng, 64, 48, 1)};  // grayscale
+  for (const int lanes : {1, 4}) {
+    exec::configure(exec::Config{lanes});
+    for (const CoefficientImage& img : images) {
+      const auto alphabet =
+          transform::reference::lossless_alphabet(img.width(), img.height());
+      for (const transform::Chain& chain :
+           transform::reference::all_chains(alphabet, 4)) {
+        DirtyMcuSet engine_dirty, reference_dirty;
+        const auto engine = transform::reference::outcome_of(
+            [&] { return apply_lossless(chain, img, &engine_dirty); });
+        const auto expect = transform::reference::outcome_of([&] {
+          return transform::reference::apply_lossless(chain, img,
+                                                      &reference_dirty);
+        });
+        ASSERT_TRUE(engine == expect)
+            << lanes << " lanes, " << img.width() << "x" << img.height()
+            << ": " << transform::reference::chain_name(chain) << "-> "
+            << engine.error << " vs " << expect.error;
+        ASSERT_EQ(engine_dirty.total, reference_dirty.total);
+        ASSERT_EQ(engine_dirty.all, reference_dirty.all);
+        ASSERT_EQ(engine_dirty.words, reference_dirty.words);
+      }
+    }
+  }
 }
 
 }  // namespace

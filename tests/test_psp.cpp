@@ -97,7 +97,7 @@ TEST(Psp, LosslessTransformEndToEnd) {
   const jpeg::CoefficientImage recovered = core::recover_lossless(
       jpeg::parse(d.jfif), core::PublicParameters::parse(d.public_params),
       d.chain, keys);
-  EXPECT_EQ(recovered, transform::apply_lossless(chain[0], s.original));
+  EXPECT_EQ(recovered, transform::apply_lossless(chain, s.original));
 }
 
 TEST(Psp, PixelTransformLinearDelivery) {

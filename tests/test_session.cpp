@@ -68,7 +68,7 @@ TEST(Session, ViewAfterPspRotation) {
                         DeliveryMode::kCoefficients);
   const RgbImage bob_view = w.bob.view(outcome.image_id);
   const RgbImage reference = jpeg::decode_to_rgb(transform::apply_lossless(
-      transform::rotate(180), jpeg::forward_transform(rgb_to_ycc(photo), 75)));
+      {transform::rotate(180)}, jpeg::forward_transform(rgb_to_ycc(photo), 75)));
   EXPECT_EQ(bob_view, reference);
 }
 

@@ -14,6 +14,9 @@
 #include "puppies/store/replicated_store.h"
 #include "puppies/store/transform_cache.h"
 #include "puppies/synth/synth.h"
+#include "puppies/transform/transform.h"
+
+#include "lossless_reference.h"
 
 namespace puppies::store {
 namespace {
@@ -231,23 +234,39 @@ TEST(Canonicalize, DihedralFoldIsExactInPixelDomain) {
 }
 
 TEST(Canonicalize, DihedralFoldIsExactInCoefficientDomain) {
-  const synth::SceneImage scene =
-      synth::generate(synth::Dataset::kPascal, 5, 64, 48);
-  const jpeg::CoefficientImage img =
-      jpeg::forward_transform(rgb_to_ycc(scene.image), 75);
-  const std::vector<transform::Step> ops = {
-      transform::rotate(90), transform::rotate(180), transform::rotate(270),
-      transform::flip_h(), transform::flip_v()};
-  for (const auto& a : ops) {
-    for (const auto& b : ops) {
-      const transform::Chain chain{a, b};
-      jpeg::CoefficientImage expect = img;
-      for (const auto& s : chain) expect = transform::apply_lossless(s, expect);
-      jpeg::CoefficientImage got = img;
-      for (const auto& s : transform::canonicalize(chain))
-        got = transform::apply_lossless(s, got);
-      ASSERT_EQ(jpeg::serialize(got), jpeg::serialize(expect))
-          << a.to_string() << " . " << b.to_string();
+  // Every lossless chain of up to 4 steps, at one pool lane and at four:
+  // the engine on the canonical chain agrees with the step-at-a-time
+  // reference on it (coefficients, quant tables, exception type), and
+  // serves the same JFIF bytes as the reference on the chain as given.
+  struct Restore {
+    ~Restore() { exec::configure(exec::Config{}); }
+  } restore;
+  std::vector<jpeg::CoefficientImage> images;
+  for (const auto& [w, h] : {std::pair{64, 48}, std::pair{60, 44}})
+    images.push_back(jpeg::forward_transform(
+        rgb_to_ycc(synth::generate(synth::Dataset::kPascal, 5, w, h).image),
+        75));
+  for (const int lanes : {1, 4}) {
+    exec::configure(exec::Config{lanes});
+    for (const jpeg::CoefficientImage& img : images) {
+      for (const transform::Chain& chain : transform::reference::all_chains(
+               transform::reference::lossless_alphabet(img.width(),
+                                                       img.height()),
+               4)) {
+        const transform::Chain canon = transform::canonicalize(chain);
+        const auto got = transform::reference::outcome_of(
+            [&] { return transform::apply_lossless(canon, img); });
+        ASSERT_TRUE(got == transform::reference::outcome_of([&] {
+          return transform::reference::apply_lossless(canon, img);
+        })) << lanes << " lanes, canonical chain size " << canon.size();
+        const auto given = transform::reference::outcome_of([&] {
+          return transform::reference::apply_lossless(chain, img);
+        });
+        if (!given.value) continue;
+        ASSERT_TRUE(got.value.has_value());
+        ASSERT_EQ(jpeg::serialize(*got.value), jpeg::serialize(*given.value))
+            << lanes << " lanes, chain size " << chain.size();
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 #include "puppies/synth/synth.h"
 #include "puppies/transform/transform.h"
 
+#include "lossless_reference.h"
+
 namespace puppies::transform {
 namespace {
 
@@ -183,8 +185,8 @@ TEST(ApplyLossless, RejectsPixelSteps) {
       synth::generate(synth::Dataset::kPascal, 7, 64, 48);
   const jpeg::CoefficientImage img =
       jpeg::forward_transform(rgb_to_ycc(scene.image), 75);
-  EXPECT_THROW(apply_lossless(scale(32, 24), img), InvalidArgument);
-  EXPECT_THROW(apply_lossless(box_blur(), img), InvalidArgument);
+  EXPECT_THROW(apply_lossless({scale(32, 24)}, img), InvalidArgument);
+  EXPECT_THROW(apply_lossless({box_blur()}, img), InvalidArgument);
 }
 
 TEST(ApplyLossless, AgreesWithPixelDomainOnRotation) {
@@ -193,10 +195,31 @@ TEST(ApplyLossless, AgreesWithPixelDomainOnRotation) {
   const jpeg::CoefficientImage img =
       jpeg::forward_transform(rgb_to_ycc(scene.image), 85);
   const GrayU8 a =
-      to_gray(jpeg::decode_to_rgb(apply_lossless(rotate(180), img)));
+      to_gray(jpeg::decode_to_rgb(apply_lossless({rotate(180)}, img)));
   const GrayU8 b = to_gray(
       ycc_to_rgb(apply(rotate(180), jpeg::inverse_transform(img))));
   EXPECT_GT(psnr(a, b), 48.0);
+}
+
+TEST(Apply, LosslessStepsMatchPerStepPlaneReference) {
+  // Rotations, flips and crops go through one plane gather; on every chain
+  // of up to 4 steps it must be float-equal to the per-step plane passes
+  // and throw alike. Pixel planes take quarter turns at any size.
+  for (const auto& [w, h] : {std::pair{64, 48}, std::pair{60, 44}}) {
+    const YccImage img = test_ycc(4, w, h);
+    for (const Chain& chain :
+         reference::all_chains(reference::lossless_alphabet(w, h), 4)) {
+      const auto got =
+          reference::outcome_of([&] { return apply(chain, img); });
+      const auto expect =
+          reference::outcome_of([&] { return reference::apply(chain, img); });
+      ASSERT_EQ(got.error, expect.error) << w << "x" << h;
+      if (!got.value) continue;
+      ASSERT_EQ(got.value->y, expect.value->y) << w << "x" << h;
+      ASSERT_EQ(got.value->cb, expect.value->cb);
+      ASSERT_EQ(got.value->cr, expect.value->cr);
+    }
+  }
 }
 
 TEST(Recompress, PixelAndCoefficientPathsAgree) {
