@@ -568,9 +568,11 @@ void emit_codec_json() {
         core::MatrixSet::derive(SecretKey::from_label("bench-delta"));
     const core::PerturbParams params =
         core::params_for(core::PrivacyLevel::kMedium);
-    jpeg::DirtyMcuSet dirty;
+    const jpeg::CoefficientImage clean = roi_coeffs;
     core::perturb_roi(roi_coeffs, roi, keys, core::Scheme::kCompression,
-                      params, &dirty);
+                      params);
+    jpeg::DirtyMcuSet dirty;
+    jpeg::diff_dirty_mcus(roi_coeffs, clean, dirty);
 
     Bytes full_bytes, delta_bytes;
     const double full_ms = bench::min_ms(

@@ -50,6 +50,12 @@ struct PublicParameters {
   std::size_t byte_size_without_zind() const;
 
   const ProtectedRoi* find_roi(std::uint32_t id) const;
+
+  /// True iff `r` can be an ROI of this image: MCU-aligned (16 px for a
+  /// 4:2:0 image, else 8), non-empty and inside the block grid padded to
+  /// whole MCUs. parse rejects every other rect.
+  bool roi_fits(const Rect& r) const;
+
   bool operator==(const PublicParameters&) const = default;
 };
 

@@ -7,6 +7,10 @@
 #include "puppies/core/matrix.h"
 #include "puppies/jpeg/coeffs.h"
 
+namespace puppies::transform {
+struct LosslessMap;
+}  // namespace puppies::transform
+
 namespace puppies::core {
 
 /// The four perturbation schemes of Section IV-B.
@@ -71,38 +75,34 @@ struct PerturbOutcome {
   PositionSet wind;  ///< all schemes; empowers exact pixel-domain recovery
 };
 
-/// Perturbs the 8-aligned pixel rect `roi` of `img` in place (sender side,
-/// Algorithms 1/2 generalized over all four schemes). All components are
-/// perturbed with the same matrix material, each independently. With a
+/// Perturbs the MCU-aligned pixel rect `roi` of `img` in place (sender
+/// side, Algorithms 1/2 generalized over all four schemes). All components
+/// are perturbed with the same matrix material, each independently. With a
 /// multi-pair MatrixSet, block k uses pair (k/64) mod count (Section IV-D).
-///
-/// A non-null `dirty` accumulates the MCUs this ROI touches (the input of
-/// jpeg::serialize_delta): the set is (re)sized to the image's MCU grid on
-/// first use and marked serially — repeated calls over several ROIs OR their
-/// marks together. The ROI is MCU-aligned by precondition, so the marked
-/// rect is exact, never an over-approximation.
+/// Throws InvalidArgument unless `roi` is MCU-aligned, non-empty and inside
+/// the image's block grid.
 PerturbOutcome perturb_roi(jpeg::CoefficientImage& img, const Rect& roi,
                            const MatrixSet& keys, Scheme scheme,
-                           const PerturbParams& params,
-                           jpeg::DirtyMcuSet* dirty = nullptr);
+                           const PerturbParams& params);
 PerturbOutcome perturb_roi(jpeg::CoefficientImage& img, const Rect& roi,
                            const MatrixPair& keys, Scheme scheme,
-                           const PerturbParams& params,
-                           jpeg::DirtyMcuSet* dirty = nullptr);
+                           const PerturbParams& params);
 
 /// Exact inverse of perturb_roi (receiver side, scenario 1 / Lemma III.1).
-/// `zind` is required for Scheme::kZero and ignored otherwise. `dirty`
-/// reports touched MCUs exactly as in perturb_roi.
+/// `zind` is required for Scheme::kZero and ignored otherwise. With `place`
+/// (a chain folded by transform::fold_lossless), `img` is the chain's output
+/// and `roi`, in protected coordinates, is recovered where the chain moved
+/// its blocks; cropped-away blocks are skipped. The caller checks `roi`
+/// against the protected geometry (recover_lossless does).
 void recover_roi(jpeg::CoefficientImage& img, const Rect& roi,
                  const MatrixSet& keys, Scheme scheme,
                  const PerturbParams& params,
                  const PositionSet& zind = {},
-                 jpeg::DirtyMcuSet* dirty = nullptr);
+                 const transform::LosslessMap* place = nullptr);
 void recover_roi(jpeg::CoefficientImage& img, const Rect& roi,
                  const MatrixPair& keys, Scheme scheme,
                  const PerturbParams& params,
-                 const PositionSet& zind = {},
-                 jpeg::DirtyMcuSet* dirty = nullptr);
+                 const PositionSet& zind = {});
 
 /// Description of one perturbed ROI for delta reconstruction.
 struct DeltaRoi {

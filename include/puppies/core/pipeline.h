@@ -34,18 +34,19 @@ ProtectResult protect(const jpeg::CoefficientImage& original,
 
 /// Receiver side, scenario 1 (Fig. 7, no PSP transformation): recovers every
 /// ROI whose matrix id is present in `keys`; others stay perturbed. Exact
-/// (Lemma III.1).
+/// (Lemma III.1). The empty-chain case of recover_lossless, with its checks.
 jpeg::CoefficientImage recover(const jpeg::CoefficientImage& shared,
                                const PublicParameters& params,
                                const KeyRing& keys);
 
 /// Receiver side, scenario 2, lossless PSP chain (rotate/flip/aligned crop):
 /// exact coefficient-domain recovery. Works for all schemes including
-/// PuPPIeS-Z. One inverse block move puts the download back into the
-/// protected geometry, recover runs there, and one forward move replays the
-/// chain. Throws InvalidArgument if the chain contains a non-lossless step,
-/// if the image is not 4:4:4, or if the download's size, component count or
-/// chroma mode contradicts the chain applied to the protected image.
+/// PuPPIeS-Z. One copy of the download, in which recover_roi undoes each
+/// keyed ROI where the folded chain moved its blocks. Throws
+/// InvalidArgument if the chain contains a non-lossless step or moves
+/// blocks of a 4:2:0 image, if the download's size, component count or
+/// chroma mode contradicts the chain applied to the protected image, or if
+/// a keyed ROI's rect fails PublicParameters::roi_fits.
 jpeg::CoefficientImage recover_lossless(
     const jpeg::CoefficientImage& transformed, const PublicParameters& params,
     const transform::Chain& chain, const KeyRing& keys);

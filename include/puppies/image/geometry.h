@@ -26,8 +26,10 @@ struct Rect {
     return px >= x && py >= y && px < right() && py < bottom();
   }
   bool contains(const Rect& o) const {
-    return !o.empty() && o.x >= x && o.y >= y && o.right() <= right() &&
-           o.bottom() <= bottom();
+    // Ends in 64 bits, so a hostile rect's edges cannot overflow.
+    const auto end = [](int a, int b) { return static_cast<long long>(a) + b; };
+    return !o.empty() && o.x >= x && o.y >= y &&
+           end(o.x, o.w) <= end(x, w) && end(o.y, o.h) <= end(y, h);
   }
   bool intersects(const Rect& o) const {
     return !intersect(*this, o).empty();

@@ -125,8 +125,8 @@ class CoefficientImage {
 /// input serialize_delta maps to dirty restart segments. A bitset over the
 /// scan's MCU indices (MCU-interleaved order, the order restart intervals
 /// count in) plus an `all` short-circuit for whole-image rewrites. Producers
-/// (perturb_roi / recover_roi / transform::apply_lossless) mark serially or
-/// over disjoint words, so a set can accumulate edits from several ROIs.
+/// (transform::apply_lossless, jpeg::diff_dirty_mcus) mark serially or over
+/// disjoint words, so a set can accumulate several edits.
 struct DirtyMcuSet {
   std::vector<std::uint64_t> words;
   int total = 0;     ///< MCU count of the grid this set describes

@@ -115,9 +115,10 @@ rm -rf "$BENCH_DIR"
 # fallback flag are shared-state code on the same pool. tests_delta joins
 # for the same reason: the partial-index fill and dirty-segment writers
 # run on the pool against shared masks and segment slots. tests_core joins
-# too: the lossless block gather (transform::apply_lossless) and the
-# recover_lossless scatter run on the pool, and the suite drives them over
-# every lossless chain of up to 4 steps.
+# too: the lossless block gather (transform::apply_lossless) and the ROI
+# block walk behind recover_lossless (each ROI block reached in place in the
+# download) run on the pool, and the suite drives them over every lossless
+# chain of up to 4 steps.
 cmake -B build-tsan -S . -DPUPPIES_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_delta tests_core
 ./build-tsan/tests/tests_store
@@ -133,13 +134,19 @@ cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_n
 # parsing are additionally re-encoded with optimized Huffman tables, so the
 # histogram/table-build path sees hostile coefficient distributions under
 # the sanitizers too. The plain build above already ran the suite once;
-# these runs are what the crash-free claim actually rests on.
+# these runs are what the crash-free claim actually rests on. tests_fuzz
+# also feeds hostile public parameters (ROI rects, mutated records) to the
+# three receivers. tests_core joins the UBSan run: the ROI block walk maps
+# protected-space blocks into transformed downloads, and that index
+# arithmetic is exactly what UBSan checks. halt_on_error turns a UBSan
+# report into a failing exit status instead of a line of output.
 cmake -B build-asan -S . -DPUPPIES_SANITIZE=address
 cmake --build build-asan -j"$(nproc)" --target tests_fuzz
 ./build-asan/tests/tests_fuzz
 
 cmake -B build-ubsan -S . -DPUPPIES_SANITIZE=undefined
-cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz
-./build-ubsan/tests/tests_fuzz
+cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_core
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_fuzz
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_core
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_core under TSan + tests_fuzz under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under UBSan)"

@@ -97,8 +97,21 @@ PublicParameters PublicParameters::parse(std::span<const std::uint8_t> data) {
   // matrix count and two empty position sets.
   const std::uint32_t n = in.count(4 + 16 + 1 + 8 + 4 + 4 + 4 + 4);
   p.rois.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) p.rois.push_back(ProtectedRoi::parse(in));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    p.rois.push_back(ProtectedRoi::parse(in));
+    if (!p.roi_fits(p.rois.back().rect))
+      throw ParseError("ROI rect outside the image's MCU grid");
+  }
   return p;
+}
+
+bool PublicParameters::roi_fits(const Rect& r) const {
+  const int m = components == 3 && chroma == jpeg::ChromaMode::k420 ? 16 : 8;
+  // In whole MCUs, where no sum of hostile fields can overflow.
+  const auto mcus = [m](int px) { return px / m + (px % m != 0); };
+  return r.x % m == 0 && r.y % m == 0 && r.w % m == 0 && r.h % m == 0 &&
+         Rect{0, 0, mcus(width), mcus(height)}.contains(
+             Rect{r.x / m, r.y / m, r.w / m, r.h / m});
 }
 
 std::size_t PublicParameters::byte_size_without_zind() const {

@@ -2,15 +2,10 @@
 
 #include "puppies/exec/parallel_for.h"
 #include "puppies/jpeg/codec.h"
-#include "puppies/jpeg/lossless.h"
 
 namespace puppies::core {
 
 namespace {
-
-Rect padded_bounds(const jpeg::CoefficientImage& img) {
-  return Rect{0, 0, img.blocks_w() * 8, img.blocks_h() * 8};
-}
 
 std::vector<DeltaRoi> recoverable_deltas(const PublicParameters& params,
                                          const KeyRing& keys) {
@@ -28,12 +23,6 @@ std::vector<DeltaRoi> recoverable_deltas(const PublicParameters& params,
   return deltas;
 }
 
-jpeg::CoefficientImage geometry_of(const PublicParameters& params) {
-  return jpeg::CoefficientImage(params.width, params.height, params.components,
-                                params.luma_qtable, params.chroma_qtable,
-                                params.chroma);
-}
-
 }  // namespace
 
 ProtectResult protect(const jpeg::CoefficientImage& original,
@@ -48,7 +37,7 @@ ProtectResult protect(const jpeg::CoefficientImage& original,
   result.params.chroma_qtable = original.qtable(1);
 
   std::vector<Rect> aligned;
-  const Rect grid = padded_bounds(original);
+  const Rect grid{0, 0, original.blocks_w() * 8, original.blocks_h() * 8};
   // ROIs align to whole MCUs: 8 px for 4:4:4, 16 px for 4:2:0.
   const int mcu = original.mcu_pixels();
   for (const RoiPolicy& policy : policies) {
@@ -83,22 +72,15 @@ ProtectResult protect(const jpeg::CoefficientImage& original,
 jpeg::CoefficientImage recover(const jpeg::CoefficientImage& shared,
                                const PublicParameters& params,
                                const KeyRing& keys) {
-  jpeg::CoefficientImage out = shared;
-  for (const ProtectedRoi& roi : params.rois) {
-    const std::optional<MatrixSet> set =
-        keys.find_set(roi.matrix_id, roi.matrix_count);
-    if (!set.has_value()) continue;  // not shared with this receiver
-    recover_roi(out, roi.rect, *set, roi.scheme, roi.params, roi.zind);
-  }
-  return out;
+  return recover_lossless(shared, params, {}, keys);
 }
 
 jpeg::CoefficientImage recover_lossless(
     const jpeg::CoefficientImage& transformed, const PublicParameters& params,
     const transform::Chain& chain, const KeyRing& keys) {
-  // The block moves below index the download's block arrays by the chain's
+  // recover_roi finds the ROI blocks in the download through the chain's
   // geometry, so a download that contradicts it is rejected here. The fold
-  // and the moves themselves reject 4:2:0.
+  // rejects moves of 4:2:0 images.
   require(transformed.component_count() == params.components &&
               transformed.chroma_mode() == params.chroma,
           "recover_lossless requires a download with the protected image's "
@@ -109,21 +91,28 @@ jpeg::CoefficientImage recover_lossless(
               transform::map_size(chain, params.width, params.height),
           "transform chain does not match the downloaded image size");
 
-  // Undo the chain in one move: each downloaded block goes back to where it
-  // came from in a zero canvas of the protected geometry. Blocks the chain
-  // cropped away stay zero and are cropped away again by the forward move.
-  const Dihedral undo = m.d.inverse();
-  jpeg::CoefficientImage canvas =
-      jpeg::blank_like(transformed, params.width, params.height, undo);
-  jpeg::move_blocks(transformed, transformed.bounds(), undo, canvas,
-                    m.source.x / 8, m.source.y / 8);
-  return transform::apply_lossless(chain, recover(canvas, params, keys));
+  // Perturbation moves with its blocks (Lemma III.1), so each keyed ROI is
+  // recovered in place in the download, block by block where the chain put
+  // it; every other block is the download's.
+  jpeg::CoefficientImage out = transformed;
+  for (const ProtectedRoi& roi : params.rois) {
+    const std::optional<MatrixSet> set =
+        keys.find_set(roi.matrix_id, roi.matrix_count);
+    if (!set.has_value()) continue;  // not shared with this receiver
+    require(params.roi_fits(roi.rect),
+            "ROI rect outside the protected image's MCU grid");
+    recover_roi(out, roi.rect, *set, roi.scheme, roi.params, roi.zind, &m);
+  }
+  return out;
 }
 
 YccImage build_shadow(const PublicParameters& params, const KeyRing& keys) {
   const std::vector<DeltaRoi> deltas = recoverable_deltas(params, keys);
-  const jpeg::CoefficientImage geometry = geometry_of(params);
-  const jpeg::CoefficientImage delta_img = build_delta_image(geometry, deltas);
+  const jpeg::CoefficientImage delta_img = build_delta_image(
+      jpeg::CoefficientImage(params.width, params.height, params.components,
+                             params.luma_qtable, params.chroma_qtable,
+                             params.chroma),
+      deltas);
   YccImage shadow = jpeg::inverse_transform(delta_img);
   // inverse_transform applies the +128 level shift; a shadow is a pure
   // difference signal centred at 0.
@@ -141,6 +130,10 @@ YccImage build_shadow(const PublicParameters& params, const KeyRing& keys) {
 YccImage recover_pixels(const YccImage& transformed,
                         const PublicParameters& params,
                         const transform::Chain& chain, const KeyRing& keys) {
+  // Checked before the shadow is built at the size the parameters claim.
+  require(std::pair{transformed.width(), transformed.height()} ==
+              transform::map_size(chain, params.width, params.height),
+          "transform chain does not match the downloaded image size");
   YccImage shadow = build_shadow(params, keys);
 
   // Replay the PSP chain on the shadow; requantization is not linear, so the
@@ -149,10 +142,6 @@ YccImage recover_pixels(const YccImage& transformed,
     if (s.kind == transform::Kind::kRecompress) continue;
     shadow = transform::apply(s, shadow);
   }
-
-  require(shadow.width() == transformed.width() &&
-              shadow.height() == transformed.height(),
-          "transform chain does not match the downloaded image size");
 
   YccImage out = transformed;
   for (int c = 0; c < 3; ++c) {

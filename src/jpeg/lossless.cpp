@@ -50,6 +50,12 @@ Rect block_grid(const CoefficientImage& img) {
 
 }  // namespace
 
+void move_block(const CoefBlock& in, const Dihedral& d, CoefBlock& out) {
+  const BlockTable& table = table_for(d);
+  for (std::size_t z = 0; z < 64; ++z)
+    out[z] = static_cast<std::int16_t>(in[table.from[z]] * table.sign[z]);
+}
+
 void move_blocks(const CoefficientImage& src, const Rect& from,
                  const Dihedral& d, CoefficientImage& dst, int to_bx,
                  int to_by) {
@@ -64,7 +70,6 @@ void move_blocks(const CoefficientImage& src, const Rect& from,
   require(block_grid(dst).contains(Rect{to_bx, to_by, ow, oh}),
           "block move target outside the image");
 
-  const BlockTable& table = table_for(d);
   const Dihedral inv = d.inverse();
   exec::parallel_for(static_cast<std::size_t>(oh), [&](std::size_t row) {
     const int by = static_cast<int>(row);
@@ -81,13 +86,9 @@ void move_blocks(const CoefficientImage& src, const Rect& from,
       CoefBlock* out = t.blocks.data() +
                        static_cast<std::ptrdiff_t>(to_by + by) * t.blocks_w +
                        to_bx;
-      for (int bx = 0; bx < ow; ++bx) {
-        const CoefBlock& in =
-            s.blocks[static_cast<std::size_t>(first + bx * stride)];
-        for (std::size_t z = 0; z < 64; ++z)
-          out[bx][z] =
-              static_cast<std::int16_t>(in[table.from[z]] * table.sign[z]);
-      }
+      for (int bx = 0; bx < ow; ++bx)
+        move_block(s.blocks[static_cast<std::size_t>(first + bx * stride)], d,
+                   out[bx]);
     }
   });
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "puppies/core/pipeline.h"
@@ -115,7 +116,8 @@ TEST(Recover, PublicParamsSurviveSerialization) {
 /// Lemma III.1 on every lossless chain of up to 4 steps. The parameter is a
 /// chain prefix; the test extends it by every chain over the differential
 /// alphabet (lossless_reference.h) up to 4 steps in all, and every chain the
-/// PSP can apply to the image must recover exactly, for schemes C and Z.
+/// PSP can apply to the image must recover exactly, for schemes C and Z,
+/// with the full key ring and with the face key alone.
 class LosslessChainRecovery
     : public ::testing::TestWithParam<transform::Chain> {};
 
@@ -127,11 +129,19 @@ TEST_P(LosslessChainRecovery, ExactAfterPspTransform) {
           transform::reference::lossless_alphabet(f.original.width(),
                                                   f.original.height()),
           4 - static_cast<int>(prefix.size()));
-  KeyRing keys;
-  keys.add(f.face_key);
-  keys.add(f.plate_key);
+  KeyRing full;
+  full.add(f.face_key);
+  full.add(f.plate_key);
+  KeyRing face_only;
+  face_only.add(f.face_key);
   for (const Scheme scheme : {Scheme::kCompression, Scheme::kZero}) {
     const ProtectResult result = protect(f.original, two_policies(f, scheme));
+    const PublicParameters& params = result.params;
+    // What each ring recovers without a PSP transform: the original, or the
+    // original with the plate ROI still perturbed.
+    const std::vector<std::pair<const KeyRing*, jpeg::CoefficientImage>>
+        rings{{&full, f.original},
+              {&face_only, recover(result.perturbed, params, face_only)}};
     int applied = 0;
     for (const transform::Chain& suffix : suffixes) {
       transform::Chain chain = prefix;
@@ -142,12 +152,33 @@ TEST_P(LosslessChainRecovery, ExactAfterPspTransform) {
           [&] { return transform::apply_lossless(chain, result.perturbed); });
       if (!transformed.value) continue;
       ++applied;
-      const jpeg::CoefficientImage recovered =
-          recover_lossless(*transformed.value, result.params, chain, keys);
-      // Reference: the PSP transforms the ORIGINAL image.
-      ASSERT_TRUE(recovered == transform::apply_lossless(chain, f.original))
-          << to_string(scheme) << ": "
-          << transform::reference::chain_name(chain);
+      const jpeg::CoefficientImage& download = *transformed.value;
+      for (const auto& [ring, unmoved] : rings) {
+        const jpeg::CoefficientImage recovered =
+            recover_lossless(download, params, chain, *ring);
+        // Reference: the PSP transforms the recovered image instead.
+        ASSERT_TRUE(recovered == transform::apply_lossless(chain, unmoved))
+            << to_string(scheme) << " keys=" << ring->size() << ": "
+            << transform::reference::chain_name(chain);
+        // Every block outside the recovered ROIs is the download's.
+        std::vector<Rect> landed;
+        for (const ProtectedRoi& roi : params.rois)
+          if (ring->find_set(roi.matrix_id, roi.matrix_count))
+            landed.push_back(transform::map_rect(chain, roi.rect,
+                                                 params.width, params.height));
+        for (int c = 0; c < download.component_count(); ++c)
+          for (int by = 0; by < download.blocks_h(); ++by)
+            for (int bx = 0; bx < download.blocks_w(); ++bx) {
+              if (std::any_of(landed.begin(), landed.end(),
+                              [&](const Rect& r) {
+                                return r.contains(bx * 8, by * 8);
+                              }))
+                continue;
+              ASSERT_EQ(recovered.component(c).block(bx, by),
+                        download.component(c).block(bx, by))
+                  << transform::reference::chain_name(chain);
+            }
+      }
     }
     EXPECT_GT(applied, 0);
   }

@@ -144,12 +144,12 @@ TEST(DeltaFuzz, ByteIdenticalToFullReencodeAcrossAllExecutionAxes) {
       configured_tier = tier;
     }
 
-    // Random MCU-aligned ROI (or two: repeated perturbs OR their marks).
+    // Random MCU-aligned ROI (or two), then the MCUs the perturbation
+    // changed, found by comparing against the source coefficients.
     Rng rng("delta-fuzz/" + std::to_string(i));
     const int align = src.eo.chroma == ChromaMode::k420 ? 16 : 8;
     const int w = src.coeffs.width(), h = src.coeffs.height();
     CoefficientImage img = src.coeffs;
-    DirtyMcuSet dirty;
     const int rois = 1 + (i % 5 == 0 ? 1 : 0);
     for (int r = 0; r < rois; ++r) {
       const int rw = align * rng.range(1, w / align);
@@ -157,9 +157,10 @@ TEST(DeltaFuzz, ByteIdenticalToFullReencodeAcrossAllExecutionAxes) {
       const int rx = align * rng.range(0, (w - rw) / align);
       const int ry = align * rng.range(0, (h - rh) / align);
       core::perturb_roi(img, Rect{rx, ry, rw, rh}, keys,
-                        static_cast<core::Scheme>(rng.range(0, 2)), params,
-                        &dirty);
+                        static_cast<core::Scheme>(rng.range(0, 2)), params);
     }
+    DirtyMcuSet dirty;
+    diff_dirty_mcus(img, src.coeffs, dirty);
 
     const Bytes full = serialize(img, src.eo);
     DeltaStats ds;

@@ -146,6 +146,12 @@ TEST(Exec, ProtectRecoverExactAndIdenticalAcrossThreadCounts) {
 
   core::KeyRing ring;
   ring.add(key);
+  // The crop cuts the first ROI; the quarter turn makes recover_lossless's
+  // protected-space block rows download columns.
+  const transform::Chain chain{transform::crop_aligned(Rect{16, 0, 136, 104}),
+                               transform::rotate(90)};
+  const jpeg::CoefficientImage transformed_original =
+      transform::apply_lossless(chain, original);
 
   for (const int threads : {1, 2, 8}) {
     with_threads(threads, [&] {
@@ -163,6 +169,10 @@ TEST(Exec, ProtectRecoverExactAndIdenticalAcrossThreadCounts) {
       const jpeg::CoefficientImage recovered =
           core::recover(result.perturbed, result.params, ring);
       EXPECT_EQ(recovered, original);
+      const jpeg::CoefficientImage download =
+          transform::apply_lossless(chain, result.perturbed);
+      EXPECT_EQ(core::recover_lossless(download, result.params, chain, ring),
+                transformed_original);
     });
   }
 }

@@ -133,6 +133,19 @@ TEST(Robustness, PublicParamsRejectHostileCountAndGeometry) {
   std::fill(huge_count.end() - 4, huge_count.end(), 0xFF);
   EXPECT_THROW(core::PublicParameters::parse(huge_count), ParseError);
 
+  // One ROI with empty position sets: the blob ends in its ZInd and WInd
+  // counts. Claim 0xFFFFFFFF entries (6 bytes each) in either.
+  core::PublicParameters one_roi = params;
+  one_roi.rois.push_back(core::ProtectedRoi{});
+  one_roi.rois.back().rect = Rect{0, 0, 16, 16};
+  EXPECT_NO_THROW(core::PublicParameters::parse(one_roi.serialize()));
+  for (const std::ptrdiff_t from_end : {8, 4}) {
+    Bytes huge_set = one_roi.serialize();
+    std::fill(huge_set.end() - from_end, huge_set.end() - from_end + 4, 0xFF);
+    EXPECT_THROW(core::PublicParameters::parse(huge_set), ParseError)
+        << (from_end == 8 ? "ZInd" : "WInd");
+  }
+
   for (const auto& [w, h] : std::vector<std::pair<int, int>>{
            {0, 48}, {64, 0}, {-8, 48}, {64, -16}, {100'000, 100'000}}) {
     core::PublicParameters bad = params;
