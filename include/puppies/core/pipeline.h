@@ -53,16 +53,26 @@ jpeg::CoefficientImage recover_lossless(
 
 /// Receiver side, scenario 2, pixel-domain PSP chain (scaling, filtering,
 /// arbitrary mixes; Fig. 8): shadow-ROI recovery. `transformed` is the
-/// linear (unclamped float) pixel image served by the PSP. Recompress steps
-/// pass the shadow through unchanged (bounded approximation; see DESIGN.md).
-/// Throws for ROIs using PuPPIeS-Z whose key is held (its shadow is
-/// undefined); ROIs without keys are simply left perturbed.
+/// linear (unclamped float) pixel image served by the PSP. The shadow is
+/// zero outside the keyed ROIs, so it is built, carried through the chain
+/// and subtracted only over windows around them: each ROI's deltas are
+/// inverse-transformed on a window the size of the ROI (one MCU of padding
+/// each side in 4:2:0, the whole image when a 4:2:0 side is odd), and each
+/// step grows a window by its footprint (transform::footprint). Windows
+/// whose footprints meet are merged, so every output pixel is the
+/// whole-frame shadow's bit for bit; windows that together cover the image
+/// become one whole-image window. Apart from those whole-image windows, the
+/// one image-sized buffer is the returned copy of `transformed`. Recompress
+/// steps pass the shadow through unchanged (bounded approximation; see
+/// DESIGN.md). Throws
+/// InvalidArgument if the download's size contradicts the chain applied to
+/// the protected image, if the chain fails transform::map_size or crops
+/// outside the image, if the parameters are not a 3-component image within
+/// jpeg::max_decode_pixels(), or if a keyed ROI fails
+/// PublicParameters::roi_fits or uses PuPPIeS-Z (its shadow is undefined);
+/// ROIs without keys are simply left perturbed.
 YccImage recover_pixels(const YccImage& transformed,
                         const PublicParameters& params,
                         const transform::Chain& chain, const KeyRing& keys);
-
-/// The pixel-domain shadow of all ROIs recoverable with `keys`: decoded
-/// deltas around 0 (Fig. 9's "shadow ROI generator" for the whole canvas).
-YccImage build_shadow(const PublicParameters& params, const KeyRing& keys);
 
 }  // namespace puppies::core

@@ -60,8 +60,28 @@ Step sharpen();
 Step recompress(int quality);
 
 /// Applies a step / chain in the float pixel domain (unclamped, linear).
+/// Every step but recompress is the window form below over the whole image.
 YccImage apply(const Step& step, const YccImage& img);
 YccImage apply(const Chain& chain, YccImage img);
+
+/// The window form of a step: the pixels in `out` (a rect of the step's
+/// output) of `step` applied to a w x h image that equals `in` over the rect
+/// `window` and is zero everywhere else. Taps are clamped to the w x h image
+/// exactly as the whole-image apply clamps them, so the result equals that
+/// apply's pixels in `out` bit for bit. Crops, rotations, flips and
+/// identity must read only inside `window`. Throws InvalidArgument for
+/// recompress (it reads whole blocks of the quantized image), for a window
+/// or `out` outside its image, and where the whole-image apply throws.
+YccImage apply(const Step& step, const YccImage& in, const Rect& window,
+               const Rect& out, int w, int h);
+
+/// The output pixels of `step` on a w x h image that can read a pixel of
+/// `r`: for a scale, every output pixel whose clamped 2x2 bilinear taps
+/// touch `r`; for a 3x3 filter, `r` grown by one pixel; for a crop, rotation
+/// or flip, map_rect (empty if a crop removes `r`); `r` itself for identity
+/// and recompress. Clipped to the output image. A step applied to an image
+/// that is zero outside `r` leaves its output zero outside the footprint.
+Rect footprint(const Step& step, const Rect& r, int w, int h);
 
 /// A lossless chain folded into one move: crop the pixel rect `source` (the
 /// whole image when the chain crops nothing; 8-aligned otherwise), then
@@ -97,7 +117,10 @@ jpeg::CoefficientImage apply_lossless(const Chain& chain,
 /// transformation (image size `w` x `h` before the step).
 Rect map_rect(const Step& step, const Rect& r, int w, int h);
 Rect map_rect(const Chain& chain, Rect r, int w, int h);
-/// Output image size of a step applied to a w x h image.
+/// Output image size of a step applied to a w x h image. Throws
+/// InvalidArgument for a scale target that is not positive and for any step
+/// output over jpeg::max_decode_pixels(), so a chain from an untrusted peer
+/// cannot size an image the decoder would refuse.
 std::pair<int, int> map_size(const Step& step, int w, int h);
 std::pair<int, int> map_size(const Chain& chain, int w, int h);
 

@@ -140,13 +140,18 @@ cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_n
 # protected-space blocks into transformed downloads, and that index
 # arithmetic is exactly what UBSan checks. halt_on_error turns a UBSan
 # report into a failing exit status instead of a line of output.
+# tests_core joins the ASan run too: the windowed pixel recovery and the
+# window kernels index planes through Plane::at, which has no bounds check,
+# so an off-by-one in the window arithmetic is a silent out-of-bounds write
+# in a plain build.
 cmake -B build-asan -S . -DPUPPIES_SANITIZE=address
-cmake --build build-asan -j"$(nproc)" --target tests_fuzz
+cmake --build build-asan -j"$(nproc)" --target tests_fuzz tests_core
 ./build-asan/tests/tests_fuzz
+./build-asan/tests/tests_core
 
 cmake -B build-ubsan -S . -DPUPPIES_SANITIZE=undefined
 cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_core
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_fuzz
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_core
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"

@@ -237,6 +237,9 @@ store::TransformResult PspService::compute_transform(
           });
       return r;
     }
+    // An untrusted chain is bounded before the decode: a scale target that
+    // is not positive or over the decode limit is a bad request.
+    transform::map_size(chain, e.parsed.width(), e.parsed.height());
     metrics::counter("psp.codec.inverse").add();
     const YccImage transformed =
         transform::apply(chain, jpeg::inverse_transform(e.parsed));

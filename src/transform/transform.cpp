@@ -134,51 +134,6 @@ Step recompress(int quality) {
 
 namespace {
 
-Plane<float> scale_plane(const Plane<float>& in, int nw, int nh) {
-  Plane<float> out(nw, nh, 0.f);
-  const float sx = static_cast<float>(in.width()) / nw;
-  const float sy = static_cast<float>(in.height()) / nh;
-  // Output rows are independent; each writes only its own row.
-  exec::parallel_for(static_cast<std::size_t>(nh), [&](std::size_t row) {
-    const int y = static_cast<int>(row);
-    const float fy = (y + 0.5f) * sy - 0.5f;
-    const int y0 = static_cast<int>(std::floor(fy));
-    const float wy = fy - y0;
-    for (int x = 0; x < nw; ++x) {
-      const float fx = (x + 0.5f) * sx - 0.5f;
-      const int x0 = static_cast<int>(std::floor(fx));
-      const float wx = fx - x0;
-      const float a = in.clamped_at(x0, y0);
-      const float b = in.clamped_at(x0 + 1, y0);
-      const float c = in.clamped_at(x0, y0 + 1);
-      const float d = in.clamped_at(x0 + 1, y0 + 1);
-      out.at(x, y) =
-          a * (1 - wx) * (1 - wy) + b * wx * (1 - wy) + c * (1 - wx) * wy +
-          d * wx * wy;
-    }
-  });
-  return out;
-}
-
-/// The pixel rect `source` of `in` moved through `d`: the plane twin of
-/// jpeg::move_blocks, a pure gather over output rows.
-Plane<float> gather_plane(const Plane<float>& in, const Rect& source,
-                          const Dihedral& d) {
-  const auto [w, h] = d.output_size(source.w, source.h);
-  Plane<float> out(w, h, 0.f);
-  const Dihedral inv = d.inverse();
-  exec::parallel_for(static_cast<std::size_t>(h), [&](std::size_t row) {
-    const int y = static_cast<int>(row);
-    // d^-1 is affine, so the row's source pixels are a fixed stride apart.
-    const auto [x0, y0] = inv.map(0, y, w, h);
-    const auto [x1, y1] = inv.map(1, y, w, h);
-    for (int x = 0; x < w; ++x)
-      out.at(x, y) = in.at(source.x + x0 + x * (x1 - x0),
-                           source.y + y0 + x * (y1 - y0));
-  });
-  return out;
-}
-
 /// The D4 element of a rotation or flip step; nullopt for other kinds.
 std::optional<Dihedral> dihedral_of(Kind k) {
   switch (k) {
@@ -197,19 +152,132 @@ std::optional<Dihedral> dihedral_of(Kind k) {
   }
 }
 
-Plane<float> convolve_plane(const Plane<float>& in,
-                            const std::array<float, 9>& k) {
-  Plane<float> out(in.width(), in.height(), 0.f);
-  // Reads overlap rows but writes don't: out-of-place convolution.
-  exec::parallel_for_2d(in.height(), in.width(), [&](int y, int x) {
-    float acc = 0;
-    for (int dy = -1; dy <= 1; ++dy)
-      for (int dx = -1; dx <= 1; ++dx)
-        acc += k[static_cast<std::size_t>((dy + 1) * 3 + (dx + 1))] *
-               in.clamped_at(x + dx, y + dy);
-    out.at(x, y) = acc;
+/// True iff `r` is a (possibly empty) rect inside a w x h image.
+bool inside(const Rect& r, int w, int h) {
+  return r.x >= 0 && r.y >= 0 && r.w >= 0 && r.h >= 0 && r.x <= w - r.w &&
+         r.y <= h - r.h;
+}
+
+/// The bilinear taps of output coordinate `o` on an axis a scale takes from
+/// n_in samples to n_out: both source samples, clamped to the axis, and the
+/// weight of the second. The one formula of the scale kernel and its
+/// footprint.
+struct Taps {
+  int a, b;
+  float t;
+};
+Taps bilinear_taps(int o, int n_in, int n_out) {
+  const float s = static_cast<float>(n_in) / n_out;
+  const float f = (o + 0.5f) * s - 0.5f;
+  const int i = static_cast<int>(std::floor(f));
+  return {std::clamp(i, 0, n_in - 1), std::clamp(i + 1, 0, n_in - 1), f - i};
+}
+
+/// The window kernels below read a plane `in` that holds the pixels of the
+/// rect `win` of a larger image, which is zero everywhere else, and write
+/// the output pixels of the rect `out`. Taps are clamped to the whole image
+/// exactly as a whole-plane kernel clamps them, so a window holding the
+/// whole image is the whole-plane kernel, and a window around every nonzero
+/// pixel yields that kernel's pixels in `out` bit for bit. Output rows are
+/// independent; each writes only its own row.
+struct WindowReader {
+  const Plane<float>& in;
+  const Rect& win;
+  std::vector<float> zeros =
+      std::vector<float>(static_cast<std::size_t>(win.w));
+
+  /// Row `y` of the image, relative to the window's columns.
+  const float* row(int y) const {
+    y -= win.y;
+    return y >= 0 && y < win.h ? in.row(y).data() : zeros.data();
+  }
+  /// Pixel `x` of a row(), zero outside the window.
+  float at(const float* row, int x) const {
+    x -= win.x;
+    return x >= 0 && x < win.w ? row[x] : 0.f;
+  }
+};
+
+/// Pixels `out` of the bilinear resize of a w x h plane to nw x nh.
+Plane<float> scale_plane(const Plane<float>& in, const Rect& win, int w, int h,
+                         int nw, int nh, const Rect& out) {
+  require(w > 0 && h > 0, "scale of an empty image");
+  Plane<float> res(out.w, out.h, 0.f);
+  const WindowReader rd{in, win};
+  std::vector<Taps> xs;
+  for (int x = out.x; x < out.right(); ++x)
+    xs.push_back(bilinear_taps(x, w, nw));
+  exec::parallel_for(static_cast<std::size_t>(out.h), [&](std::size_t row) {
+    const Taps ty = bilinear_taps(out.y + static_cast<int>(row), h, nh);
+    const float* r0 = rd.row(ty.a);
+    const float* r1 = rd.row(ty.b);
+    const float wy = ty.t;
+    float* dst = res.row(static_cast<int>(row)).data();
+    for (int i = 0; i < out.w; ++i) {
+      const Taps& tx = xs[static_cast<std::size_t>(i)];
+      const float wx = tx.t;
+      const float a = rd.at(r0, tx.a);
+      const float b = rd.at(r0, tx.b);
+      const float c = rd.at(r1, tx.a);
+      const float d = rd.at(r1, tx.b);
+      dst[i] = a * (1 - wx) * (1 - wy) + b * wx * (1 - wy) +
+               c * (1 - wx) * wy + d * wx * wy;
+    }
   });
-  return out;
+  return res;
+}
+
+/// Pixels `out` of the 3x3 convolution of a w x h plane with `k`.
+Plane<float> convolve_plane(const Plane<float>& in, const Rect& win, int w,
+                            int h, const std::array<float, 9>& k,
+                            const Rect& out) {
+  Plane<float> res(out.w, out.h, 0.f);
+  const WindowReader rd{in, win};
+  exec::parallel_for(static_cast<std::size_t>(out.h), [&](std::size_t row) {
+    const int y = out.y + static_cast<int>(row);
+    const float* rows[3];
+    for (int dy = -1; dy <= 1; ++dy)
+      rows[dy + 1] = rd.row(std::clamp(y + dy, 0, h - 1));
+    float* dst = res.row(static_cast<int>(row)).data();
+    for (int i = 0; i < out.w; ++i) {
+      const int x = out.x + i;
+      float acc = 0;
+      for (int dy = -1; dy <= 1; ++dy)
+        for (int dx = -1; dx <= 1; ++dx)
+          acc += k[static_cast<std::size_t>((dy + 1) * 3 + (dx + 1))] *
+                 rd.at(rows[dy + 1], std::clamp(x + dx, 0, w - 1));
+      dst[i] = acc;
+    }
+  });
+  return res;
+}
+
+/// Pixels `out` of the pixel rect `source` moved through `d`: the plane twin
+/// of jpeg::move_blocks, a pure gather over output rows. Every pixel `out`
+/// reads must lie in the window.
+Plane<float> gather_plane(const Plane<float>& in, const Rect& win,
+                          const Rect& source, const Dihedral& d,
+                          const Rect& out) {
+  const auto [w, h] = d.output_size(source.w, source.h);
+  const Dihedral inv = d.inverse();
+  Plane<float> res(out.w, out.h, 0.f);
+  if (out.empty()) return res;
+  const Rect read = inv.map(out, w, h);
+  require(win.contains(
+              Rect{source.x + read.x, source.y + read.y, read.w, read.h}),
+          "gather reads outside its window");
+  exec::parallel_for(static_cast<std::size_t>(out.h), [&](std::size_t row) {
+    const int y = out.y + static_cast<int>(row);
+    // d^-1 is affine, so the row's source pixels are a fixed stride apart.
+    const auto [x0, y0] = inv.map(out.x, y, w, h);
+    const auto [x1, y1] = inv.map(out.x + 1, y, w, h);
+    const int sx = source.x - win.x + x0;
+    const int sy = source.y - win.y + y0;
+    float* dst = res.row(static_cast<int>(row)).data();
+    for (int x = 0; x < out.w; ++x)
+      dst[x] = in.at(sx + x * (x1 - x0), sy + x * (y1 - y0));
+  });
+  return res;
 }
 
 YccImage per_plane(const YccImage& img, auto&& fn) {
@@ -226,36 +294,77 @@ YccImage apply(const Step& step, const YccImage& img) {
   switch (step.kind) {
     case Kind::kIdentity:
       return img;
-    case Kind::kScale:
-      return per_plane(img,
-                       [&](const Plane<float>& p) {
-                         return scale_plane(p, step.arg0, step.arg1);
-                       });
-    case Kind::kCropAligned:
-      require(img.bounds().contains(step.rect), "crop rect outside image");
-      return per_plane(img, [&](const Plane<float>& p) {
-        return gather_plane(p, step.rect, Dihedral{});
-      });
-    case Kind::kRotate90:
-    case Kind::kRotate180:
-    case Kind::kRotate270:
-    case Kind::kFlipH:
-    case Kind::kFlipV:
-      return per_plane(img, [&](const Plane<float>& p) {
-        return gather_plane(p, p.bounds(), *dihedral_of(step.kind));
-      });
-    case Kind::kFilter3x3:
-      return per_plane(img, [&](const Plane<float>& p) {
-        return convolve_plane(p, step.kernel);
-      });
     case Kind::kRecompress: {
       // Pixel-domain stand-in for requantization: round trip through the
       // coefficient domain at the new quality.
       const jpeg::CoefficientImage c = jpeg::forward_transform(img, step.arg0);
       return jpeg::inverse_transform(c);
     }
+    default: {
+      const auto [w, h] = map_size(step, img.width(), img.height());
+      return apply(step, img, img.bounds(), Rect{0, 0, w, h}, img.width(),
+                   img.height());
+    }
   }
-  throw InvalidArgument("unknown transform step");
+}
+
+YccImage apply(const Step& step, const YccImage& in, const Rect& window,
+               const Rect& out, int w, int h) {
+  require(step.kind != Kind::kRecompress,
+          "recompress has no window form: it reads whole blocks");
+  const auto [ow, oh] = map_size(step, w, h);
+  require(in.width() == window.w && in.height() == window.h &&
+              inside(window, w, h),
+          "window outside the image");
+  require(inside(out, ow, oh), "output rect outside the step's output");
+  const Rect image{0, 0, w, h};
+  switch (step.kind) {
+    case Kind::kScale:
+      return per_plane(in, [&](const Plane<float>& p) {
+        return scale_plane(p, window, w, h, ow, oh, out);
+      });
+    case Kind::kFilter3x3:
+      return per_plane(in, [&](const Plane<float>& p) {
+        return convolve_plane(p, window, w, h, step.kernel, out);
+      });
+    case Kind::kCropAligned:
+      require(image.contains(step.rect), "crop rect outside image");
+      return per_plane(in, [&](const Plane<float>& p) {
+        return gather_plane(p, window, step.rect, Dihedral{}, out);
+      });
+    default: {
+      const Dihedral d = dihedral_of(step.kind).value_or(Dihedral{});
+      return per_plane(in, [&](const Plane<float>& p) {
+        return gather_plane(p, window, image, d, out);
+      });
+    }
+  }
+}
+
+Rect footprint(const Step& step, const Rect& r, int w, int h) {
+  switch (step.kind) {
+    case Kind::kScale: {
+      require(w > 0 && h > 0, "scale of an empty image");
+      const auto [nw, nh] = map_size(step, w, h);
+      // The outputs whose taps reach [r0, r1): taps are monotonic, so they
+      // are one run.
+      const auto reach = [](int n_in, int n_out, int r0, int r1) {
+        int lo = 0;
+        while (lo < n_out && bilinear_taps(lo, n_in, n_out).b < r0) ++lo;
+        int hi = n_out;
+        while (hi > lo && bilinear_taps(hi - 1, n_in, n_out).a >= r1) --hi;
+        return std::pair{lo, hi};
+      };
+      const auto [x0, x1] = reach(w, nw, r.x, r.right());
+      const auto [y0, y1] = reach(h, nh, r.y, r.bottom());
+      return Rect{x0, y0, x1 - x0, y1 - y0};
+    }
+    case Kind::kFilter3x3:
+      return Rect::intersect(Rect{r.x - 1, r.y - 1, r.w + 2, r.h + 2},
+                             Rect{0, 0, w, h});
+    default:
+      return map_rect(step, r, w, h);
+  }
 }
 
 YccImage apply(const Chain& chain, YccImage img) {
@@ -323,15 +432,27 @@ jpeg::CoefficientImage apply_lossless(const Chain& chain,
 }
 
 std::pair<int, int> map_size(const Step& step, int w, int h) {
+  std::pair<int, int> out{w, h};
   switch (step.kind) {
     case Kind::kScale:
-      return {step.arg0, step.arg1};
+      require(step.arg0 > 0 && step.arg1 > 0, "scale target must be positive");
+      out = {step.arg0, step.arg1};
+      break;
     case Kind::kCropAligned:
-      return {step.rect.w, step.rect.h};
+      out = {step.rect.w, step.rect.h};
+      break;
     default:
-      if (const auto d = dihedral_of(step.kind)) return d->output_size(w, h);
-      return {w, h};
+      if (const auto d = dihedral_of(step.kind)) out = d->output_size(w, h);
+      break;
   }
+  // The decoder's pixel bound: a chain from an untrusted peer must not size
+  // an image the parser would refuse.
+  const long long pixels = static_cast<long long>(out.first) * out.second;
+  require(pixels <= 0 || static_cast<unsigned long long>(pixels) <=
+                             jpeg::max_decode_pixels(),
+          "transform output " + std::to_string(out.first) + "x" +
+              std::to_string(out.second) + " exceeds the decode limit");
+  return out;
 }
 
 std::pair<int, int> map_size(const Chain& chain, int w, int h) {

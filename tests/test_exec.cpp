@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -153,6 +154,27 @@ TEST(Exec, ProtectRecoverExactAndIdenticalAcrossThreadCounts) {
   const jpeg::CoefficientImage transformed_original =
       transform::apply_lossless(chain, original);
 
+  // Pixel-domain recovery has no PuPPIeS-Z shadow, so it gets ROIs of its
+  // own. They touch, so the scale merges their windows; the blur grows it.
+  const core::ProtectResult shaded = with_threads(1, [&] {
+    return core::protect(
+        original, {core::RoiPolicy{Rect{8, 8, 64, 48}, key,
+                                   core::Scheme::kBase,
+                                   core::PrivacyLevel::kMedium},
+                   core::RoiPolicy{Rect{72, 48, 48, 32}, key,
+                                   core::Scheme::kCompression,
+                                   core::PrivacyLevel::kHigh}});
+  });
+  const transform::Chain pixel_chain{transform::scale(150, 100),
+                                     transform::box_blur()};
+  const YccImage served = with_threads(1, [&] {
+    return transform::apply(pixel_chain,
+                            jpeg::inverse_transform(shaded.perturbed));
+  });
+  const YccImage pixel_baseline = with_threads(1, [&] {
+    return core::recover_pixels(served, shaded.params, pixel_chain, ring);
+  });
+
   for (const int threads : {1, 2, 8}) {
     with_threads(threads, [&] {
       const core::ProtectResult result = core::protect(original, policies);
@@ -173,6 +195,16 @@ TEST(Exec, ProtectRecoverExactAndIdenticalAcrossThreadCounts) {
           transform::apply_lossless(chain, result.perturbed);
       EXPECT_EQ(core::recover_lossless(download, result.params, chain, ring),
                 transformed_original);
+      // Every float of the pixel recovery, -0.f included, as on one lane.
+      const YccImage recovered_px =
+          core::recover_pixels(served, shaded.params, pixel_chain, ring);
+      for (int c = 0; c < 3; ++c) {
+        const auto got = recovered_px.component(c).pixels();
+        const auto want = pixel_baseline.component(c).pixels();
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size_bytes()), 0)
+            << "threads=" << threads << " component=" << c;
+      }
     });
   }
 }

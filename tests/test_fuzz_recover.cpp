@@ -8,6 +8,7 @@
 // undefined behaviour.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <string>
 #include <vector>
@@ -17,6 +18,10 @@
 #include "puppies/core/pipeline.h"
 #include "puppies/jpeg/codec.h"
 #include "puppies/synth/synth.h"
+#include "puppies/transform/transform.h"
+
+#include "decode_limit.h"
+#include "shadow_reference.h"
 
 namespace puppies::core {
 namespace {
@@ -63,18 +68,26 @@ const Shared& shared() {
   return s;
 }
 
-/// Runs the three receivers on `params`; any exception but the two typed
-/// ones fails the test.
+/// Runs `fn`; any exception but the two typed ones fails the test. True
+/// iff it returned.
+template <typename Fn>
+bool typed_only(const std::string& what, Fn&& fn) {
+  try {
+    fn();
+    return true;
+  } catch (const ParseError&) {
+  } catch (const InvalidArgument&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << " threw " << e.what();
+  }
+  return false;
+}
+
+/// Runs the three receivers on `params`.
 void recover_all(const PublicParameters& params, const std::string& what) {
   const Shared& s = shared();
   const auto typed_only = [&](const char* receiver, auto&& fn) {
-    try {
-      fn();
-    } catch (const ParseError&) {
-    } catch (const InvalidArgument&) {
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << what << ": " << receiver << " threw " << e.what();
-    }
+    core::typed_only(what + ": " + receiver, fn);
   };
   typed_only("recover", [&] { recover(s.stored, params, s.keys); });
   typed_only("recover_lossless", [&] {
@@ -164,6 +177,172 @@ TEST(FuzzRecover, MutatedPublicParametersThrowOnlyTypedErrors) {
     recover_all(params, "trial " + std::to_string(trial));
   }
   EXPECT_GT(parsed, kMutants / 10);  // about a third parse
+}
+
+/// A chain as a peer sends it: through the wire format, past the factories'
+/// checks.
+transform::Chain over_wire(const transform::Chain& chain) {
+  ByteWriter w;
+  transform::write_chain(w, chain);
+  const Bytes bytes = w.take();
+  ByteReader r(bytes);
+  return transform::read_chain(r);
+}
+
+TEST(FuzzRecover, HostileScaleTargetsAreRejected) {
+  const jpeg::DecodeLimit limit(1'000'000);
+  const Shared& s = shared();
+  const YccImage decoded = jpeg::inverse_transform(s.stored);
+  const auto raw_scale = [](int w, int h) {
+    transform::Step step;
+    step.kind = transform::Kind::kScale;
+    step.arg0 = w;
+    step.arg1 = h;
+    return step;
+  };
+  // Each ends in the served 32x24, so only the bound can reject it.
+  for (const transform::Step& hostile :
+       {raw_scale(-8, 16), raw_scale(0, 24), raw_scale(16, kMin),
+        raw_scale(2000, 1000), raw_scale(kMax, kMax)}) {
+    const transform::Chain chain =
+        over_wire({hostile, transform::scale(32, 24)});
+    EXPECT_THROW(recover_pixels(s.scaled, s.params, chain, s.pixel_keys),
+                 InvalidArgument)
+        << hostile.to_string();
+    EXPECT_THROW(transform::apply(chain, decoded), InvalidArgument)
+        << hostile.to_string();
+  }
+}
+
+TEST(FuzzRecover, MutatedChainsThrowOnlyTypedErrors) {
+  // Byte-mutated chains of the triple: every one that parses goes to the
+  // two receivers that replay a chain, with downloads of the size it maps
+  // the protected image to, so the size check lets most of them through.
+  constexpr int kMutants = 1500;
+  const jpeg::DecodeLimit limit(1'000'000);
+  const Shared& s = shared();
+  ByteWriter w;
+  transform::write_chain(
+      w, {transform::crop_aligned(Rect{8, 0, 48, 48}), transform::rotate(90),
+          transform::scale(40, 36), transform::box_blur(),
+          transform::sharpen(), transform::flip_h(),
+          transform::recompress(60)});
+  const Bytes base = w.take();
+  const std::int32_t hostile[] = {kMax - 7, kMin, -8, 0, 8, 1 << 30, kMax};
+  Rng rng("fuzz-recover-chains");
+  int parsed = 0, recovered = 0;
+  for (int trial = 0; trial < kMutants; ++trial) {
+    Bytes m = base;
+    switch (rng.below(3)) {
+      case 0: {  // bit flips, anywhere
+        const int flips = 1 + static_cast<int>(rng.below(4));
+        for (int f = 0; f < flips; ++f)
+          m[rng.below(m.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        break;
+      }
+      case 1: {  // a hostile 32-bit field: the count, a size, a rect, a tap
+        const std::size_t at = rng.below(m.size() - 3);
+        const auto v = static_cast<std::uint32_t>(
+            hostile[rng.below(std::size(hostile))]);
+        for (int i = 0; i < 4; ++i)
+          m[at + static_cast<std::size_t>(i)] =
+              static_cast<std::uint8_t>(v >> (24 - 8 * i));
+        break;
+      }
+      default:  // truncation
+        m.resize(rng.below(m.size()));
+        break;
+    }
+    transform::Chain chain;
+    try {
+      ByteReader r(m);
+      chain = transform::read_chain(r);
+    } catch (const ParseError&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "trial " << trial << ": read_chain threw " << e.what();
+    }
+    ++parsed;
+    const std::string what = "trial " + std::to_string(trial);
+    std::pair<int, int> size{0, 0};
+    typed_only(what + ": map_size", [&] {
+      size = transform::map_size(chain, s.params.width, s.params.height);
+    });
+    const bool sized = size.first > 0 && size.second > 0;
+    const YccImage pixels =
+        sized ? YccImage(size.first, size.second) : s.scaled;
+    recovered += typed_only(what + ": recover_pixels", [&] {
+      recover_pixels(pixels, s.params, chain, s.pixel_keys);
+    });
+    const jpeg::CoefficientImage coeffs =
+        sized ? jpeg::CoefficientImage(size.first, size.second, 3,
+                                       s.params.luma_qtable,
+                                       s.params.chroma_qtable)
+              : s.turned;
+    typed_only(what + ": recover_lossless", [&] {
+      recover_lossless(coeffs, s.params, chain, s.keys);
+    });
+  }
+  EXPECT_GT(parsed, kMutants / 2);
+  EXPECT_GT(recovered, kMutants / 20);  // some go all the way through
+}
+
+TEST(FuzzRecover, KeyedRoiGridsRecoverInBoundedTime) {
+  // Parameters with thousands of keyed 8x8 ROIs on a 1000x1000 image, as a
+  // hostile PSP may send them: a full grid of touching ROIs, a checkerboard
+  // whose footprints meet under the blur, and a sparse grid that stays
+  // apart. Windows merge in a few passes over the ROIs, never one ROI at a
+  // time through a growing copy (which took 14 s on the full grid on a
+  // 4-vCPU x86 host; these take ~0.2 s there), and the bytes are the
+  // whole-frame reference's.
+  constexpr int kSide = 1000;
+  const jpeg::DecodeLimit limit(1'000'000);
+  const SecretKey key = SecretKey::from_label("fuzz-recover/grid");
+  KeyRing keys;
+  keys.add(key);
+  const ProtectResult one = protect(
+      jpeg::forward_transform(
+          rgb_to_ycc(
+              synth::generate(synth::Dataset::kPascal, 6, 64, 48).image),
+          75),
+      {RoiPolicy{Rect{0, 0, 8, 8}, key, Scheme::kCompression}});
+  const transform::Chain chain{transform::box_blur(),
+                               transform::scale(700, 700),
+                               transform::box_blur()};
+  const YccImage download(700, 700);
+  struct Layout {
+    const char* name;
+    bool (*keyed)(int bx, int by);
+  };
+  for (const auto& [name, keyed] : {
+           Layout{"full grid", [](int, int) { return true; }},
+           Layout{"checkerboard",
+                  [](int bx, int by) { return (bx + by) % 2 == 0; }},
+           Layout{"sparse grid",
+                  [](int bx, int by) { return bx % 4 == 0 && by % 4 == 0; }},
+       }) {
+    PublicParameters params = one.params;
+    params.width = params.height = kSide;
+    params.rois.clear();
+    for (int by = 0; by < kSide / 8; ++by)
+      for (int bx = 0; bx < kSide / 8; ++bx) {
+        if (!keyed(bx, by)) continue;
+        ProtectedRoi roi = one.params.rois[0];
+        roi.id = static_cast<std::uint32_t>(params.rois.size());
+        roi.rect = Rect{bx * 8, by * 8, 8, 8};
+        params.rois.push_back(std::move(roi));
+      }
+    const auto start = std::chrono::steady_clock::now();
+    const YccImage got = recover_pixels(download, params, chain, keys);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), 5.0) << name << ", " << params.rois.size()
+                                  << " ROIs";
+    EXPECT_TRUE(transform::reference::same_bits(
+        got, reference::recover_pixels(download, params, chain, keys)))
+        << name;
+  }
 }
 
 }  // namespace

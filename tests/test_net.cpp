@@ -28,6 +28,8 @@
 #include "puppies/net/server.h"
 #include "puppies/synth/synth.h"
 
+#include "decode_limit.h"
+
 namespace puppies::net {
 namespace {
 
@@ -338,6 +340,37 @@ TEST(Loopback, HostileChainCountIsBadRequest) {
   EXPECT_EQ(client.call(Op::kApply, w.take()).status, Status::kBadRequest);
   // The same connection still serves afterwards.
   EXPECT_NE(client.stats_json().find("net.requests"), std::string::npos);
+
+  server.shutdown();
+}
+
+TEST(Loopback, HostileScaleTargetIsBadRequest) {
+  const jpeg::DecodeLimit limit(1'000'000);
+  const ServerConfig config;
+  Server server(config);
+  server.start();
+  Client client = connect_to(server);
+  const std::string id = client.upload(corpus()[0].jfif, corpus()[0].params);
+
+  // Hand-built steps, past the factory's check: a negative target and one
+  // over the decode limit, each followed by a scale back down.
+  for (const auto& [w, h] : {std::pair{-8, 16}, std::pair{2000, 1000}}) {
+    transform::Step hostile;
+    hostile.kind = transform::Kind::kScale;
+    hostile.arg0 = w;
+    hostile.arg1 = h;
+    ApplyRequest a;
+    a.id = id;
+    a.mode = DeliveryMode::kClampedReencode;
+    a.quality = 80;
+    a.chain = {hostile, transform::scale(48, 32)};
+    EXPECT_EQ(client.call(Op::kApply, encode_apply(a)).status,
+              Status::kBadRequest)
+        << w << "x" << h;
+  }
+  // The same connection still serves afterwards.
+  client.apply(id, {transform::scale(48, 32)}, DeliveryMode::kClampedReencode,
+               80);
 
   server.shutdown();
 }
