@@ -51,13 +51,8 @@ int main() {
 
   psp::PspService psp;  // in-memory backend, default cache budget
   std::vector<std::string> ids;
-  std::vector<Bytes> delta_uploads;  // standard tables + restart markers
-  std::vector<Bytes> upload_params;
   double megapixels = 0;
   int w = 0, h = 0;
-  jpeg::EncodeOptions delta_eo;
-  delta_eo.huffman = jpeg::HuffmanMode::kStandard;
-  delta_eo.restart_interval = psp::PspConfig{}.restart_interval;
   for (int i = 0; i < n; ++i) {
     const synth::SceneImage scene = bench::load(synth::Dataset::kPascal, i);
     w = scene.image.width();
@@ -73,8 +68,6 @@ int main() {
                                    core::PrivacyLevel::kMedium}});
     ids.push_back(psp.upload(jpeg::serialize(shared.perturbed),
                              shared.params.serialize()));
-    delta_uploads.push_back(jpeg::serialize(shared.perturbed, delta_eo));
-    upload_params.push_back(shared.params.serialize());
   }
 
   // Clamped re-encode is the codec-heavy delivery path and the realistic
@@ -103,71 +96,10 @@ int main() {
   std::printf("cold and warm downloads byte-identical: %s\n",
               identical ? "yes" : "NO — BUG");
 
-  // Delta serving (DESIGN.md §15): a standard-table PSP with restart
-  // markers serving coefficient-domain downloads — the lossless chain
-  // leaves the MCU grid clean, so the delta path splices every segment's
-  // entropy bytes verbatim from the retained upload scan. The delta-off
-  // baseline is a full serialize() of the same coefficients (parsed outside
-  // the timer). Cache disabled so the delta pass measures codec work; the
-  // bytes must match exactly.
-  psp::PspConfig dcfg;
-  dcfg.huffman = jpeg::HuffmanMode::kStandard;
-  dcfg.cache_bytes = 0;
-  psp::PspService dpsp(dcfg);
-  std::vector<std::string> dids;
-  std::vector<jpeg::CoefficientImage> dparsed;
-  for (std::size_t i = 0; i < delta_uploads.size(); ++i) {
-    dids.push_back(dpsp.upload(delta_uploads[i], upload_params[i]));
-    dparsed.push_back(jpeg::parse(delta_uploads[i]));
-  }
-  const transform::Chain identity_chain;  // identity: nothing dirty
-  Pass full_pass;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const jpeg::CoefficientImage& c : dparsed) {
-      psp::Download d;
-      d.jfif = jpeg::serialize(c, delta_eo);
-      full_pass.downloads.push_back(std::move(d));
-    }
-    full_pass.ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  }
-  const std::uint64_t copied_before =
-      metrics::counter("psp.codec.segments_copied").value();
-  const std::uint64_t reenc_before =
-      metrics::counter("psp.codec.segments_reencoded").value();
-  const Pass delta_pass =
-      serve(dpsp, dids, identity_chain, psp::DeliveryMode::kCoefficients,
-            75);
-  const std::uint64_t seg_copied =
-      metrics::counter("psp.codec.segments_copied").value() - copied_before;
-  const std::uint64_t seg_reenc =
-      metrics::counter("psp.codec.segments_reencoded").value() - reenc_before;
-  const bool delta_identical = same_bytes(full_pass, delta_pass);
-  const double copied_fraction =
-      seg_copied + seg_reenc
-          ? static_cast<double>(seg_copied) / (seg_copied + seg_reenc)
-          : 0.0;
-  const double full_mps = megapixels / (full_pass.ms / 1e3);
-  const double delta_mps = megapixels / (delta_pass.ms / 1e3);
-  const double delta_speedup =
-      delta_pass.ms > 0 ? full_pass.ms / delta_pass.ms : 0.0;
-  std::printf("\n%-24s %10.2f %12.2f\n", "full re-encode", full_pass.ms,
-              full_mps);
-  std::printf("%-24s %10.2f %12.2f\n", "delta re-encode", delta_pass.ms,
-              delta_mps);
-  std::printf(
-      "delta: %.2fx vs full, %llu/%llu segments copied (%.1f%%), bytes %s\n",
-      delta_speedup, static_cast<unsigned long long>(seg_copied),
-      static_cast<unsigned long long>(seg_copied + seg_reenc),
-      copied_fraction * 100, delta_identical ? "identical" : "DIVERGED");
-
-  const bool all_identical = identical && delta_identical;
   std::FILE* f = std::fopen("BENCH_psp.json", "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write BENCH_psp.json\n");
-    return all_identical ? 0 : 1;
+    return identical ? 0 : 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"bench_psp\",\n");
   std::fprintf(f, "  \"images\": %d,\n  \"megapixels\": %.3f,\n", n,
@@ -177,13 +109,8 @@ int main() {
                "    {\"stage\": \"cold_apply_download\", \"ms\": %.3f, "
                "\"mp_per_s\": %.3f},\n"
                "    {\"stage\": \"warm_apply_download\", \"ms\": %.3f, "
-               "\"mp_per_s\": %.3f},\n"
-               "    {\"stage\": \"full_reencode\", \"ms\": %.3f, "
-               "\"mp_per_s\": %.3f},\n"
-               "    {\"stage\": \"delta_reencode\", \"ms\": %.3f, "
                "\"mp_per_s\": %.3f}\n  ],\n",
-               cold.ms, cold_mps, warm.ms, warm_mps, full_pass.ms, full_mps,
-               delta_pass.ms, delta_mps);
+               cold.ms, cold_mps, warm.ms, warm_mps);
   std::fprintf(f,
                "  \"cache\": {\"hits\": %llu, \"misses\": %llu, "
                "\"hit_ratio\": %.4f},\n",
@@ -193,15 +120,8 @@ int main() {
                identical ? "true" : "false");
   std::fprintf(f, "  \"speedup_warm_vs_cold\": %.3f,\n",
                warm.ms > 0 ? cold.ms / warm.ms : 0.0);
-  std::fprintf(f,
-               "  \"delta_reencode_mp_s\": %.3f,\n"
-               "  \"delta_speedup\": %.3f,\n"
-               "  \"delta_segments_copied_fraction\": %.4f,\n"
-               "  \"delta_byte_identical\": %s,\n",
-               delta_mps, delta_speedup, copied_fraction,
-               delta_identical ? "true" : "false");
   std::fprintf(f, "  \"metrics\": %s\n}\n", metrics::dump_json().c_str());
   std::fclose(f);
   std::printf("wrote BENCH_psp.json\n");
-  return all_identical ? 0 : 1;
+  return identical ? 0 : 1;
 }

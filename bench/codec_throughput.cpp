@@ -546,65 +546,6 @@ void emit_codec_json() {
         dec_identical ? "coefficient-identical" : "DIVERGED");
   }
 
-  // Delta re-encode (DESIGN.md §15): a canonical standard-table restart
-  // stream with one ~10%-area MCU-aligned ROI perturbed in the coefficient
-  // domain. serialize_delta re-entropy-codes only the dirty segments and
-  // copies every clean segment's bytes verbatim from the retained scan; the
-  // contract is byte identity with the full serial re-encode, and the
-  // acceptance bar is >= 3x on this workload.
-  {
-    jpeg::EncodeOptions eo;
-    eo.huffman = jpeg::HuffmanMode::kStandard;
-    eo.restart_interval = 64;
-    const Bytes src_jpg = jpeg::compress(big.image, 75, eo);
-    jpeg::ScanSource src;
-    jpeg::CoefficientImage roi_coeffs = jpeg::parse(src_jpg, nullptr, &src);
-
-    // A full-width 10%-height band: segments are row-major runs of MCUs,
-    // so a band ROI's dirty-segment fraction matches its area fraction
-    // (a square ROI of equal area would straddle ~2.5x more segments).
-    const Rect roi{0, 400, 1184, 88};  // 1184*88 / (1184*888) = 9.9%
-    const core::MatrixSet keys =
-        core::MatrixSet::derive(SecretKey::from_label("bench-delta"));
-    const core::PerturbParams params =
-        core::params_for(core::PrivacyLevel::kMedium);
-    const jpeg::CoefficientImage clean = roi_coeffs;
-    core::perturb_roi(roi_coeffs, roi, keys, core::Scheme::kCompression,
-                      params);
-    jpeg::DirtyMcuSet dirty;
-    jpeg::diff_dirty_mcus(roi_coeffs, clean, dirty);
-
-    Bytes full_bytes, delta_bytes;
-    const double full_ms = bench::min_ms(
-        5, [&] { full_bytes = jpeg::serialize(roi_coeffs, eo); });
-    jpeg::DeltaStats ds;
-    const double delta_ms = bench::min_ms(5, [&] {
-      delta_bytes = jpeg::serialize_delta(roi_coeffs, eo, src, dirty,
-                                          nullptr, nullptr, &ds);
-    });
-    const bool delta_identical = delta_bytes == full_bytes && !ds.fallback;
-    const double copied_fraction =
-        ds.segments_total > 0
-            ? static_cast<double>(ds.segments_copied) / ds.segments_total
-            : 0;
-    const double delta_speedup = delta_ms > 0 ? full_ms / delta_ms : 0;
-    std::snprintf(line, sizeof(line),
-                  "  \"delta_reencode_mp_s\": %.3f,\n"
-                  "  \"delta_full_reencode_mp_s\": %.3f,\n"
-                  "  \"delta_speedup\": %.2f,\n"
-                  "  \"delta_segments_copied_fraction\": %.4f,\n"
-                  "  \"delta_byte_identical\": %s,\n",
-                  mp / (delta_ms / 1e3), mp / (full_ms / 1e3), delta_speedup,
-                  copied_fraction, delta_identical ? "true" : "false");
-    extras += line;
-    std::printf(
-        "delta re-encode (10%% ROI): %.2f MP/s vs %.2f MP/s full (%.2fx), "
-        "%d/%d segments copied (%.1f%%), output %s\n",
-        mp / (delta_ms / 1e3), mp / (full_ms / 1e3), delta_speedup,
-        ds.segments_copied, ds.segments_total, copied_fraction * 100,
-        delta_identical ? "byte-identical" : "DIVERGED");
-  }
-
   if (scalar_fdct_ns > 0 && tiers.size() > 1)
     std::printf(
         "tier speedup (%s vs scalar): fdct %.2fx, encode %.2fx, decode "

@@ -1,8 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <functional>
-
 #include "puppies/common/bytes.h"
 #include "puppies/image/image.h"
 #include "puppies/jpeg/codec.h"
@@ -40,22 +37,6 @@ CoefficientImage forward_transform_clamped_chunked(
     const ChunkOptions& copt = {}, ScanIndex* scan = nullptr,
     ChunkStats* stats = nullptr);
 
-/// One row of clamped 8-bit RGB handed out by inverse_transform_chunked.
-/// Called serially in top-to-bottom row order; the pointers address the
-/// engine's band scratch and are only valid during the call.
-using RgbRowSink = std::function<void(
-    int y, const std::uint8_t* r, const std::uint8_t* g,
-    const std::uint8_t* b)>;
-
-/// Streams the clamped RGB rows of decode_to_rgb(coeffs) to `sink`. Bands
-/// decode in parallel one wave of pool lanes at a time, and the wave's rows
-/// then go to the sink in order, so pixel scratch stays O(width * band
-/// rows * lanes) regardless of image height. Requires a 3-component image.
-void inverse_transform_chunked(const CoefficientImage& coeffs,
-                               const RgbRowSink& sink,
-                               const ChunkOptions& copt = {},
-                               ChunkStats* stats = nullptr);
-
 /// Streaming transcode: decode `coeffs`, clamp, and re-encode at `quality`
 /// one band at a time, never materializing a full-resolution pixel plane on
 /// either side. Each band decodes its own input rows (and, for 4:2:0
@@ -72,28 +53,25 @@ CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
                                    ChunkStats* stats = nullptr);
 
 /// transcode_chunked + serialize: recompress a parsed stream at a new
-/// quality with bounded pixel memory.
+/// quality with bounded pixel memory. `encode_stats` (optional) receives
+/// serialize()'s entropy-segment accounting.
 Bytes recompress_chunked(const CoefficientImage& coeffs, int quality,
                          const EncodeOptions& opts = {},
                          const ChunkOptions& copt = {},
-                         ChunkStats* stats = nullptr);
+                         ChunkStats* stats = nullptr,
+                         EncodeStats* encode_stats = nullptr);
 
-/// Delta-serving recompress (DESIGN.md §15): transcode_chunked at `quality`,
-/// then serialize through the delta path, copying the entropy bytes of every
-/// restart segment the round trip left bit-identical to `reference` (the
-/// coefficients `src`'s entropy encodes). At the source's own quality most
-/// blocks survive decode→clamp→re-encode exactly — only clamped ROIs and
-/// their ringing change — so a lightly-perturbed image re-encodes a few
-/// segments instead of all of them. The coefficient diff only runs when
-/// delta_eligible() holds and the transcode preserved geometry and quant
-/// tables; a precondition miss falls back to the full path without one.
-/// Output bytes equal recompress_chunked's in every case.
-Bytes recompress_delta_chunked(const CoefficientImage& reference,
-                               const ScanSource& src, int quality,
-                               const EncodeOptions& opts = {},
-                               const ChunkOptions& copt = {},
-                               ChunkStats* stats = nullptr,
-                               EncodeStats* encode_stats = nullptr,
-                               DeltaStats* delta_stats = nullptr);
+// ---------------------------------------------------------------------------
+// Compatibility block (see the one at the end of jpeg/codec.h): kept only
+// for the frozen benchmark replay, which compiles against it.
+
+/// Deleted by the benchmark change that moves the replay. Forwards to
+/// recompress_chunked(coeffs, quality, opts, copt).
+inline Bytes recompress_delta_chunked(const CoefficientImage& coeffs,
+                                      const ScanSource&, int quality,
+                                      const EncodeOptions& opts,
+                                      const ChunkOptions& copt) {
+  return recompress_chunked(coeffs, quality, opts, copt);
+}
 
 }  // namespace puppies::jpeg

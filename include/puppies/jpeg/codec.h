@@ -107,6 +107,8 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts = {},
 
 /// What parse() observed in the entropy-coded scan.
 struct ParseStats {
+  /// The scan's restart interval in MCUs (the DRI value; 0 = none).
+  int restart_interval = 0;
   /// Restart segments in the scan (1 when no restart interval is in force).
   int restart_segments = 0;
   /// True iff the scan decoded on the exec pool (segment-parallel path);
@@ -122,29 +124,6 @@ struct ScanSegment {
   std::size_t end = 0;
 };
 
-/// The retained source-scan context serialize_delta copies clean segments
-/// from: the entropy bytes of a previously parsed (or serialized) stream,
-/// its restart cadence, the per-segment byte ranges, and whether the scan
-/// was coded with exactly the Annex K standard tables serialize() assigns in
-/// HuffmanMode::kStandard. parse() fills one on request whenever the scan's
-/// restart structure partitions cleanly (DESIGN.md §15).
-struct ScanSource {
-  int restart_interval = 0;           ///< MCUs per segment (DRI value)
-  Bytes entropy;                      ///< scan bytes, RSTn markers included
-  std::vector<ScanSegment> segments;  ///< byte ranges within `entropy`
-  /// True iff every component's DC and AC spec equals the standard spec
-  /// serialize() would assign it (luma tables for component 0, chroma for
-  /// the rest) — the table-compatibility precondition of the delta path.
-  bool standard_tables = false;
-  // Geometry the entropy bytes encode; a delta target must match exactly.
-  int width = 0;
-  int height = 0;
-  int components = 0;
-  ChromaMode chroma = ChromaMode::k444;
-
-  bool valid() const { return restart_interval > 0 && !segments.empty(); }
-};
-
 /// Parses a JFIF stream produced by serialize() (baseline, 4:4:4 or gray).
 /// Malformed or hostile input throws ParseError — never anything else, and
 /// never an unbounded allocation: SOF dimensions whose pixel footprint
@@ -157,60 +136,8 @@ struct ScanSource {
 /// back to the serial decoder, so output bytes and error taxonomy are
 /// identical to a serial decode at any thread count. A one-lane pool
 /// (exec::configure({1})) always decodes serially.
-///
-/// A non-null `source` is filled with the scan's delta-serving context
-/// (entropy bytes + segment table) when the stream has a restart interval
-/// and its markers partition cleanly; otherwise it is left !valid(). Purely
-/// an extra retained output — the parse result never depends on it.
 CoefficientImage parse(std::span<const std::uint8_t> data,
-                       ParseStats* stats = nullptr,
-                       ScanSource* source = nullptr);
-
-/// What serialize_delta did with each restart segment.
-struct DeltaStats {
-  int segments_total = 0;
-  int segments_copied = 0;     ///< clean: entropy bytes copied verbatim
-  int segments_reencoded = 0;  ///< dirty: entropy-coded on the exec pool
-  /// True iff a precondition miss routed the call through full serialize().
-  bool fallback = false;
-};
-
-/// True iff serialize_delta(coeffs, opts, src, ...) can copy segments from
-/// `src`: HuffmanMode::kStandard, opts.restart_interval ==
-/// src.restart_interval > 0, a standard-table source with a well-formed
-/// segment table, and matching geometry. Cheap (no coefficient access), so
-/// callers run it before computing a dirty set.
-bool delta_eligible(const CoefficientImage& coeffs, const EncodeOptions& opts,
-                    const ScanSource& src);
-
-/// Incremental re-encode (DESIGN.md §15): serialize()'s scan writer with a
-/// source — entropy-codes only the restart segments `dirty` touches and
-/// copies every clean segment's bytes verbatim from `src`, splicing
-/// segment·RSTn in scan order under freshly written headers. Requires
-/// delta_eligible() and a `dirty` set sized to this image's MCU grid; ANY
-/// precondition miss falls back to serialize() (same bytes, full cost) and
-/// reports DeltaStats::fallback.
-///
-/// Contract: the result always parses back to `coeffs` exactly. When `src`
-/// holds canonical entropy bytes — produced by this library's serialize()
-/// for coefficients that equal `coeffs` on every clean segment — the result
-/// is byte-identical to a full serialize(coeffs, opts) at every thread count
-/// and SIMD tier (DC predictors reset at each RSTn and BitWriter pads
-/// flush() with 1-bits, so a segment's bytes depend only on its own
-/// coefficients; tests_delta differences the two paths).
-Bytes serialize_delta(const CoefficientImage& coeffs,
-                      const EncodeOptions& opts, const ScanSource& src,
-                      const DirtyMcuSet& dirty, const ScanIndex* scan = nullptr,
-                      EncodeStats* stats = nullptr,
-                      DeltaStats* delta_stats = nullptr);
-
-/// Marks every MCU whose coefficients differ between `a` and `b` into
-/// `dirty` (reset to the shared grid first). Requires identical geometry.
-/// This is the diff that feeds serialize_delta when a transform recomputed
-/// coefficients wholesale — e.g. the identity-fold recompress round trip,
-/// where most blocks survive bit-exactly and only clamped ROIs change.
-void diff_dirty_mcus(const CoefficientImage& a, const CoefficientImage& b,
-                     DirtyMcuSet& dirty);
+                       ParseStats* stats = nullptr);
 
 /// Marker-aware partition of an entropy-coded byte range at its RSTn
 /// boundaries: O(bytes), stuffed-0xFF-safe, no entropy decoding. Returns
@@ -244,5 +171,30 @@ RgbImage decompress(std::span<const std::uint8_t> data);
 /// The PSP-side "compression" transform: requantizes all coefficients to a
 /// coarser quality level (new tables, values re-rounded).
 CoefficientImage requantize(const CoefficientImage& coeffs, int new_quality);
+
+// ---------------------------------------------------------------------------
+// Compatibility block: the removed ROI-delta entry points, kept as forwards
+// only because the frozen benchmark replay (perfbench/e2e_load.cpp) compiles
+// against them. Nothing else may call them.
+
+/// Deleted by the benchmark change that moves the replay. Holds nothing.
+struct ScanSource {};
+/// Deleted by the benchmark change that moves the replay. Holds nothing.
+struct DirtyMcuSet {};
+
+/// Deleted by the benchmark change that moves the replay. Forwards to
+/// parse(data, stats).
+inline CoefficientImage parse(std::span<const std::uint8_t> data,
+                              ParseStats* stats, ScanSource*) {
+  return parse(data, stats);
+}
+
+/// Deleted by the benchmark change that moves the replay. Forwards to
+/// serialize(coeffs, opts).
+inline Bytes serialize_delta(const CoefficientImage& coeffs,
+                             const EncodeOptions& opts, const ScanSource&,
+                             const DirtyMcuSet&) {
+  return serialize(coeffs, opts);
+}
 
 }  // namespace puppies::jpeg

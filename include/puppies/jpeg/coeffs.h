@@ -1,8 +1,6 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -77,7 +75,7 @@ class CoefficientImage {
   int v_max() const;
   /// Pixel size covered by one MCU (8 for 4:4:4/gray, 16 for 4:2:0).
   int mcu_pixels() const { return 8 * h_max(); }
-  /// MCU grid of the scan (what restart intervals and DirtyMcuSet count in).
+  /// MCU grid of the scan (what restart intervals count in).
   int mcu_cols() const {
     return comps_.empty() ? 0 : comps_[0].blocks_w / comps_[0].h;
   }
@@ -119,54 +117,6 @@ class CoefficientImage {
   ChromaMode mode_ = ChromaMode::k444;
   std::vector<Component> comps_;
   std::array<QuantTable, 2> qtables_{};
-};
-
-/// Which MCUs of a coefficient image a coefficient-domain edit touched — the
-/// input serialize_delta maps to dirty restart segments. A bitset over the
-/// scan's MCU indices (MCU-interleaved order, the order restart intervals
-/// count in) plus an `all` short-circuit for whole-image rewrites. Producers
-/// (transform::apply_lossless, jpeg::diff_dirty_mcus) mark serially or over
-/// disjoint words, so a set can accumulate several edits.
-struct DirtyMcuSet {
-  std::vector<std::uint64_t> words;
-  int total = 0;     ///< MCU count of the grid this set describes
-  bool all = false;  ///< every MCU dirty (geometry change / full rewrite)
-
-  /// Sizes the set for a `total_mcus` grid with every MCU clean.
-  void reset(int total_mcus) {
-    total = total_mcus;
-    all = false;
-    words.assign((static_cast<std::size_t>(total_mcus) + 63) / 64, 0);
-  }
-  void mark(int mcu) {
-    words[static_cast<std::size_t>(mcu) >> 6] |= std::uint64_t{1}
-                                                 << (mcu & 63);
-  }
-  void mark_all() { all = true; }
-  bool test(int mcu) const {
-    return all || (words[static_cast<std::size_t>(mcu) >> 6] >>
-                   (mcu & 63)) & 1;
-  }
-  /// True iff any MCU in [begin, end) is dirty — one restart segment's query.
-  bool any_in(int begin, int end) const {
-    if (all) return begin < end;
-    for (int m = begin; m < end;) {
-      const std::size_t w = static_cast<std::size_t>(m) >> 6;
-      const int base = static_cast<int>(w << 6);
-      std::uint64_t bits = words[w] >> (m - base);
-      const int span = std::min(end - m, 64 - (m - base));
-      if (span < 64) bits &= (std::uint64_t{1} << span) - 1;
-      if (bits) return true;
-      m += span;
-    }
-    return false;
-  }
-  int count() const {
-    if (all) return total;
-    int n = 0;
-    for (std::uint64_t w : words) n += std::popcount(w);
-    return n;
-  }
 };
 
 }  // namespace puppies::jpeg

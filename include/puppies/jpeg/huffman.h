@@ -20,10 +20,6 @@ struct HuffmanSpec {
     for (int l = 1; l <= 16; ++l) n += bits[static_cast<std::size_t>(l)];
     return n;
   }
-
-  /// Structural equality — what serialize_delta's "same Huffman tables"
-  /// precondition compares against the Annex K standard specs.
-  bool operator==(const HuffmanSpec&) const = default;
 };
 
 /// ITU-T T.81 Annex K typical tables.

@@ -59,7 +59,8 @@ struct PspConfig {
   /// recompress, degraded-mode heals). kOptimized (the default, matching
   /// jpeg::EncodeOptions) shrinks entropy segments by rebuilding tables
   /// from each image's symbol histogram; the mode is part of the transform
-  /// cache key so the two modes never share cached bytes.
+  /// cache key so the two modes never share cached bytes. `serve` has no
+  /// flag for it.
   jpeg::HuffmanMode huffman = jpeg::HuffmanMode::kOptimized;
   /// Band cap (ChunkOptions::mcu_rows) for the serving-side re-encodes on
   /// the band engine (jpeg/chunk.h); 0 means 16. Purely an execution knob —
@@ -68,12 +69,10 @@ struct PspConfig {
   /// setting.
   int chunk_mcu_rows = 0;
   /// Restart interval (MCUs) for every serving-side encode. Restart markers
-  /// make served scans segment-parallel decodable AND delta-servable: with
-  /// huffman == kStandard, coefficient-domain downloads and identity-chain
-  /// recompress copy every untouched segment's entropy bytes verbatim from
-  /// the retained upload scan (jpeg::serialize_delta, DESIGN.md §15).
-  /// Changes served bytes (DRI + RSTn), so it IS part of the transform
-  /// cache key. 0 disables restart markers (the pre-delta byte layout).
+  /// make served scans segment-parallel decodable on the receiver and let
+  /// the serving encode write its segments in parallel. Changes served
+  /// bytes (DRI + RSTn), so it IS part of the transform cache key. 0
+  /// disables restart markers.
   int restart_interval = 64;
   /// kReplicated only: number of disk shards under `data_dir` and the
   /// replication/repair/GC knobs (DESIGN.md §14).
@@ -177,12 +176,10 @@ class PspService {
     /// Parsed once at upload; transforms start here instead of re-parsing
     /// the byte stream on every apply_transform call.
     jpeg::CoefficientImage parsed;
-    /// The upload scan's entropy bytes + restart-segment table, retained by
-    /// the same parse. When the upload carries restart markers and standard
-    /// tables, serving-side encodes splice clean segments from here instead
-    /// of re-entropy-coding them (jpeg::serialize_delta); otherwise
-    /// !valid() and every encode takes the full path.
-    jpeg::ScanSource scan_src;
+    /// The upload's own restart interval (from the same parse), so a
+    /// degraded-mode heal re-serializes the upload's layout, not the
+    /// serving config's.
+    int restart_interval = 0;
     transform::Chain chain;
     DeliveryMode mode = DeliveryMode::kCoefficients;
     store::TransformCache::ResultPtr transformed;  ///< null until transformed

@@ -8,7 +8,6 @@
 
 #include "puppies/common/digest.h"
 #include "puppies/image/image.h"
-#include "puppies/jpeg/codec.h"
 #include "puppies/store/byte_lru.h"
 #include "puppies/transform/transform.h"
 
@@ -25,26 +24,21 @@ struct TransformResult {
 };
 
 /// Cache key for a transform result: a digest over (source blob digest,
-/// canonicalized chain, delivery mode, reencode quality, encode mode). The
-/// chain is canonicalized (transform::canonicalize) so e.g.
-/// rotate90+rotate90 and rotate180 share an entry; `quality_relevant` masks
-/// the quality out of the key for delivery modes that never re-encode.
-/// `encode_mode` is the Huffman mode the serving path re-encodes with —
-/// results serialized with different table modes are different bytes, so
-/// they must not share an entry. The default matches PspConfig's default,
-/// keeping keys identical to pre-encode-mode builds' behavior for default
-/// configurations. `restart_interval` is the serving-side restart cadence
-/// (PspConfig::restart_interval): DRI + RSTn markers change the served
-/// bytes, so two intervals never share an entry; the default 0 keys
-/// restart-free encodes exactly as pre-delta builds did. Both knobs live
-/// only in this key; the chain wire format (transform::write_chain) is
-/// unchanged, so previously serialized chains still parse.
-Digest transform_cache_key(
-    const Digest& source, const transform::Chain& chain,
-    std::uint8_t delivery_mode, int reencode_quality, bool quality_relevant,
-    std::uint8_t encode_mode =
-        static_cast<std::uint8_t>(jpeg::HuffmanMode::kOptimized),
-    int restart_interval = 0);
+/// canonicalized chain, delivery mode, reencode quality, encode mode,
+/// restart interval). The chain is canonicalized (transform::canonicalize)
+/// so e.g. rotate90+rotate90 and rotate180 share an entry;
+/// `quality_relevant` masks the quality out of the key for delivery modes
+/// that never re-encode.
+/// `encode_mode` is the Huffman mode the serving path re-encodes with and
+/// `restart_interval` its restart cadence (PspConfig::restart_interval):
+/// either changes the served bytes, so results that differ in either never
+/// share an entry. Both live only in this key; the chain wire format
+/// (transform::write_chain) does not carry them. The cache is in memory,
+/// so no key outlives the process that computed it.
+Digest transform_cache_key(const Digest& source, const transform::Chain& chain,
+                           std::uint8_t delivery_mode, int reencode_quality,
+                           bool quality_relevant, std::uint8_t encode_mode,
+                           int restart_interval);
 
 /// LRU transform-result cache with a byte budget and single-flight
 /// computation: concurrent get_or_compute() calls for the same key (e.g.

@@ -5,6 +5,7 @@
 
 #include "puppies/common/bytes.h"
 #include "puppies/image/image.h"
+#include "puppies/jpeg/codec.h"
 #include "puppies/jpeg/coeffs.h"
 
 namespace puppies::transform {
@@ -102,16 +103,9 @@ LosslessMap fold_lossless(const Chain& chain, int w, int h,
                           bool subsampled);
 
 /// Applies a chain of lossless steps in the coefficient domain: one fold,
-/// then one jpeg::move_blocks gather (throws as fold_lossless does). A
-/// non-null `dirty` reports what the chain did to the MCU grid, feeding
-/// jpeg::serialize_delta: identity steps leave the set untouched (sized
-/// clean on first use, so an all-identity chain copies every segment); any
-/// other lossless step permutes blocks or changes geometry, so the set is
-/// reset to the OUTPUT grid and fully marked — the delta path then falls
-/// back or re-encodes everything, the correct cost for such chains.
+/// then one jpeg::move_blocks gather (throws as fold_lossless does).
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      const jpeg::CoefficientImage& img,
-                                      jpeg::DirtyMcuSet* dirty = nullptr);
+                                      const jpeg::CoefficientImage& img);
 
 /// Maps a pixel rect through a step/chain: where an ROI lands after the PSP
 /// transformation (image size `w` x `h` before the step).
@@ -138,5 +132,17 @@ Chain read_chain(ByteReader& in);
 ///      into at most two steps ([flip_h] then [rotate]).
 /// Scales, crops, filters, and recompressions are never merged.
 Chain canonicalize(const Chain& chain);
+
+// ---------------------------------------------------------------------------
+// Compatibility block (see the one at the end of jpeg/codec.h): kept only
+// for the frozen benchmark replay, which compiles against it.
+
+/// Deleted by the benchmark change that moves the replay. Forwards to
+/// apply_lossless(chain, img).
+inline jpeg::CoefficientImage apply_lossless(const Chain& chain,
+                                             const jpeg::CoefficientImage& img,
+                                             jpeg::DirtyMcuSet*) {
+  return apply_lossless(chain, img);
+}
 
 }  // namespace puppies::transform

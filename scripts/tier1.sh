@@ -33,11 +33,6 @@ PUPPIES_SIMD=scalar ./build/tests/tests_chunked
 # the native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_decode
 
-# The ROI-delta differential suite on the forced-scalar tier: delta-vs-full
-# byte identity is claimed per SIMD tier (the fuzz matrix walks the tiers
-# this host supports; the forced-scalar run pins the override path too).
-PUPPIES_SIMD=scalar ./build/tests/tests_delta
-
 # Loopback serving smoke: a real `puppies serve` process (ephemeral port,
 # discovered through --port-file), the zipfian load harness against it over
 # 8 connections with byte-identity checked per download, then SIGINT and a
@@ -89,20 +84,23 @@ BENCH_STORE_DIR=$(mktemp -d)
     --blobs 24 --blob-kb 32 --gets 400 )
 rm -rf "$BENCH_STORE_DIR"
 
-# Codec identity gates: the codec bench perturbs a 10%-area ROI on a
-# canonical restart stream and serializes it both ways; the emitted
-# BENCH_codec.json must report the delta output byte-identical to the full
-# serial re-encode, or the delta path is corrupting served images. It also
-# decodes a restart stream on one lane (the serial decoder) and on every
-# lane (segment-parallel); the two must be coefficient-identical.
+# Codec identity gate: the codec bench decodes a restart stream on one lane
+# (the serial decoder) and on every lane (segment-parallel); the emitted
+# BENCH_codec.json must report the two coefficient-identical.
 BENCH_DIR=$(mktemp -d)
 ( cd "$BENCH_DIR" && "$REPO_ROOT/build/bench/codec_throughput" \
     --benchmark_filter='^$' )
-grep -q '"delta_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
-  || { echo "BENCH_codec.json: delta output diverged from full re-encode"; exit 1; }
 grep -q '"decode_byte_identical": true' "$BENCH_DIR/BENCH_codec.json" \
   || { echo "BENCH_codec.json: parallel decode diverged from serial decode"; exit 1; }
 rm -rf "$BENCH_DIR"
+
+# The end-to-end benchmark builds on its own (perfbench/CMakeLists.txt) from
+# the library sources, and its in-process replay calls library entry points
+# directly. Build it and run its self-test, so a library change that stops
+# it compiling or running shows here rather than in a benchmark run.
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j"$(nproc)" --target puppies e2e_load
+./build-perfbench/e2e_load --self-test
 
 # tests_chunked rides under TSan alongside the store suite: the parallel
 # restart-segment writers and the band engine's concurrent bands are
@@ -112,20 +110,17 @@ rm -rf "$BENCH_DIR"
 # hand-off are the newest shared-state code in the repo, and the suite
 # hammers them from eight client threads on purpose. tests_decode joins
 # too: the segment-parallel entropy decoder's per-segment readers and the
-# fallback flag are shared-state code on the same pool. tests_delta joins
-# for the same reason: the partial-index fill and dirty-segment writers
-# run on the pool against shared masks and segment slots. tests_core joins
+# fallback flag are shared-state code on the same pool. tests_core joins
 # too: the lossless block gather (transform::apply_lossless) and the ROI
 # block walk behind recover_lossless (each ROI block reached in place in the
 # download) run on the pool, and the suite drives them over every lossless
 # chain of up to 4 steps.
 cmake -B build-tsan -S . -DPUPPIES_SANITIZE=thread
-cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_delta tests_core
+cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_core
 ./build-tsan/tests/tests_store
 ./build-tsan/tests/tests_chunked
 ./build-tsan/tests/tests_net
 ./build-tsan/tests/tests_decode
-./build-tsan/tests/tests_delta
 ./build-tsan/tests/tests_core
 
 # Mutation fuzzing of the JPEG parser under the memory sanitizers: ten
@@ -154,4 +149,4 @@ cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_core
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_fuzz
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_core
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_delta + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec delta/decode identity gates + tests_store/tests_chunked/tests_net/tests_decode/tests_delta/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec decode identity gate + perfbench build and self-test + tests_store/tests_chunked/tests_net/tests_decode/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"

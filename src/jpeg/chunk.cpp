@@ -58,8 +58,6 @@ class BandPlan {
   }
 
   int band() const { return band_; }
-  int bands() const { return bands_; }
-  int lanes() const { return lanes_; }
   /// Unit range [first, second) of band b.
   std::pair<int, int> units_of(int b) const {
     return {b * band_, std::min(units_, (b + 1) * band_)};
@@ -573,33 +571,6 @@ RgbImage decode_to_rgb(const CoefficientImage& coeffs,
   return out;
 }
 
-void inverse_transform_chunked(const CoefficientImage& coeffs,
-                               const RgbRowSink& sink,
-                               const ChunkOptions& copt, ChunkStats* stats) {
-  const Decoder dec(coeffs);
-  const BandPlan plan(dec.mcu_rows(), copt);
-  const int band_px = plan.band() * dec.mcu_px();
-  auto lanes = plan.scratch([&] { return dec.scratch(band_px, true, true); });
-  plan.report(stats, lanes.front().bytes());
-  // One wave of bands per pool lane decodes in parallel; the sink then
-  // sees the wave's rows in order.
-  for (int b0 = 0; b0 < plan.bands(); b0 += plan.lanes()) {
-    const int n = std::min(plan.lanes(), plan.bands() - b0);
-    exec::parallel_for(static_cast<std::size_t>(n), [&](std::size_t i) {
-      const auto [m0, m1] = plan.units_of(b0 + static_cast<int>(i));
-      dec.decode_band(m0, m1, lanes[i]);
-    });
-    for (int i = 0; i < n; ++i) {
-      Decoder::Scratch& s = lanes[static_cast<std::size_t>(i)];
-      const auto [m0, m1] = plan.units_of(b0 + i);
-      const auto [y0, y1] = dec.rows(m0, m1);
-      for (int y = y0; y < y1; ++y)
-        sink(y, dec.band_row(s, 0, y - y0), dec.band_row(s, 1, y - y0),
-             dec.band_row(s, 2, y - y0));
-    }
-  }
-}
-
 CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
                                    ChromaMode mode, const ChunkOptions& copt,
                                    ScanIndex* scan, ChunkStats* stats) {
@@ -639,39 +610,11 @@ CoefficientImage transcode_chunked(const CoefficientImage& coeffs, int quality,
 
 Bytes recompress_chunked(const CoefficientImage& coeffs, int quality,
                          const EncodeOptions& opts, const ChunkOptions& copt,
-                         ChunkStats* stats) {
+                         ChunkStats* stats, EncodeStats* encode_stats) {
   ScanIndex scan;
   const CoefficientImage out =
       transcode_chunked(coeffs, quality, opts.chroma, copt, &scan, stats);
-  return serialize(out, opts, &scan);
-}
-
-Bytes recompress_delta_chunked(const CoefficientImage& reference,
-                               const ScanSource& src, int quality,
-                               const EncodeOptions& opts,
-                               const ChunkOptions& copt, ChunkStats* stats,
-                               EncodeStats* encode_stats,
-                               DeltaStats* delta_stats) {
-  ScanIndex scan;
-  const CoefficientImage out =
-      transcode_chunked(reference, quality, opts.chroma, copt, &scan, stats);
-  // Diff only when a delta is possible, and only when the transcode kept
-  // its geometry and quant tables (stored int16 values are then directly
-  // comparable); otherwise every MCU is dirty and serialize_delta reports
-  // the fallback.
-  DirtyMcuSet dirty;
-  dirty.reset(out.mcu_count());
-  if (delta_eligible(out, opts, src) && out.width() == reference.width() &&
-      out.height() == reference.height() &&
-      out.component_count() == reference.component_count() &&
-      out.chroma_mode() == reference.chroma_mode() &&
-      out.qtable(0) == reference.qtable(0) &&
-      out.qtable(1) == reference.qtable(1))
-    diff_dirty_mcus(out, reference, dirty);
-  else
-    dirty.mark_all();
-  return serialize_delta(out, opts, src, dirty, &scan, encode_stats,
-                         delta_stats);
+  return serialize(out, opts, &scan, encode_stats);
 }
 
 }  // namespace puppies::jpeg

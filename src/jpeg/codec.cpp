@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 
 #include "puppies/exec/parallel_for.h"
 #include "puppies/fault/fault.h"
@@ -139,43 +138,26 @@ void walk_segment(const CoefficientImage& img, const ScanIndex& scan,
       });
 }
 
-/// Nonzero masks, via the active nonzero_mask kernel, for the blocks of the
-/// segments marked in `encode` — the fallback when the writer is handed
-/// coefficients that did not come through forward_transform (lossless
-/// edits, requantize, parse). Filled on the pool one MCU row at a time;
-/// rows own disjoint blocks, so the fill is race-free.
-ScanIndex build_masks(const CoefficientImage& img, const SegmentGrid& grid,
-                      const std::vector<char>& encode) {
+/// Nonzero masks for every block, via the active nonzero_mask kernel — the
+/// fallback when the writer is handed coefficients that did not come through
+/// forward_transform (lossless edits, requantize, parse). Filled on the pool
+/// one block row at a time; rows own disjoint blocks, so the fill is
+/// race-free.
+ScanIndex build_masks(const CoefficientImage& img) {
   const kernels::KernelTable& k = kernels::active();
   ScanIndex scan;
   scan.masks.resize(static_cast<std::size_t>(img.component_count()));
-  for (int c = 0; c < img.component_count(); ++c)
-    scan.masks[static_cast<std::size_t>(c)].assign(
-        img.component(c).blocks.size(), 0);
-  const int cols = img.mcu_cols();
-  const auto rows = static_cast<std::size_t>(img.mcu_rows());
-  exec::parallel_for(rows, [&](std::size_t row) {
-    const int r = static_cast<int>(row), row_end = (r + 1) * cols;
-    // Walk the row in runs that stay inside one segment: MCU columns
-    // [x0, x1) of segment s.
-    for (int m = r * cols; m < row_end;) {
-      const int s = grid.interval > 0 ? m / grid.interval : 0;
-      const int x0 = m - r * cols;
-      m = std::min(row_end, grid.end(s));
-      if (!encode[static_cast<std::size_t>(s)]) continue;
-      const int x1 = m - r * cols;
-      for (int c = 0; c < img.component_count(); ++c) {
-        const Component& comp = img.component(c);
-        auto& masks = scan.masks[static_cast<std::size_t>(c)];
-        for (int by = r * comp.v; by < (r + 1) * comp.v; ++by) {
-          const std::size_t base = static_cast<std::size_t>(by) * comp.blocks_w;
-          for (int bx = x0 * comp.h; bx < x1 * comp.h; ++bx)
-            masks[base + static_cast<std::size_t>(bx)] = k.nonzero_mask(
-                comp.blocks[base + static_cast<std::size_t>(bx)].data());
-        }
-      }
-    }
-  });
+  for (int c = 0; c < img.component_count(); ++c) {
+    const Component& comp = img.component(c);
+    auto& masks = scan.masks[static_cast<std::size_t>(c)];
+    masks.resize(comp.blocks.size());
+    const auto w = static_cast<std::size_t>(comp.blocks_w);
+    exec::parallel_for(static_cast<std::size_t>(comp.blocks_h),
+                       [&](std::size_t by) {
+                         for (std::size_t i = by * w; i < (by + 1) * w; ++i)
+                           masks[i] = k.nonzero_mask(comp.blocks[i].data());
+                       });
+  }
   return scan;
 }
 
@@ -268,9 +250,7 @@ void write_sos(ByteWriter& w, const CoefficientImage& img) {
 }
 
 /// Everything before the entropy-coded data: SOI through SOS, DRI included
-/// when a restart interval is in force. Shared verbatim by serialize() and
-/// serialize_delta(), so a delta stream's headers cannot drift from the full
-/// path's.
+/// when a restart interval is in force.
 void write_headers(ByteWriter& w, const CoefficientImage& coeffs,
                    const HuffmanSpec dc_spec[2], const HuffmanSpec ac_spec[2],
                    int restart_interval) {
@@ -292,15 +272,6 @@ void write_headers(ByteWriter& w, const CoefficientImage& coeffs,
     w.u16(static_cast<std::uint16_t>(restart_interval));
   }
   write_sos(w, coeffs);
-}
-
-/// The standard DC/AC spec serialize() assigns component `c` in
-/// HuffmanMode::kStandard (luma tables for component 0, chroma otherwise).
-const HuffmanSpec& std_spec_for_component(int table_class, int c) {
-  if (table_class == 0)
-    return huff_table_id_for_component(c) == 0 ? std_dc_luma()
-                                               : std_dc_chroma();
-  return huff_table_id_for_component(c) == 0 ? std_ac_luma() : std_ac_chroma();
 }
 
 // --------------------------------------------------------------------------
@@ -380,45 +351,22 @@ bool ScanIndex::matches(const CoefficientImage& img) const {
   return true;
 }
 
-namespace {
-
-/// The one scan writer behind serialize() and serialize_delta(): headers,
-/// every restart segment, segment·RSTn in scan order, EOI. With a `src`,
-/// each segment `dirty` leaves clean is spliced verbatim from the source
-/// scan; every other segment is entropy-coded on the exec pool (fresh DC
-/// predictors, byte-aligned flush), so the bytes never depend on the thread
-/// count. Callers pass a `src` only after delta_eligible() held:
-/// kOptimized never copies, since its tables come from the histogram of
-/// every segment.
-Bytes write_scan(const CoefficientImage& coeffs, const EncodeOptions& opts,
-                 const ScanIndex* scan, EncodeStats* stats,
-                 const ScanSource* src = nullptr,
-                 const DirtyMcuSet* dirty = nullptr,
-                 DeltaStats* delta_stats = nullptr) {
+Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
+                const ScanIndex* scan, EncodeStats* stats) {
   require(coeffs.component_count() == 1 || coeffs.component_count() == 3,
           "serialize supports 1 or 3 components");
   if (stats) *stats = EncodeStats{};
   const SegmentGrid grid(coeffs.mcu_count(), opts.restart_interval);
   const auto nseg = static_cast<std::size_t>(grid.count);
-  std::vector<char> encode(nseg, 1);
-  std::vector<int> coded;  // segments to entropy-code, in scan order
-  for (int s = 0; s < grid.count; ++s) {
-    if (src && !dirty->any_in(grid.begin(s), grid.end(s)))
-      encode[static_cast<std::size_t>(s)] = 0;
-    else
-      coded.push_back(s);
-  }
 
-  // Trust a supplied index only if its shape matches; otherwise build masks
-  // for the segments that will be encoded. Either way the masks are exact,
-  // so the output bytes are unaffected — but a full encode that rebuilds
-  // fell off the forward_transform fast path, so make it observable
-  // (`store stats --json`). Skipping the clean segments' blocks is most of
-  // the delta win on lightly-touched images.
+  // Trust a supplied index only if its shape matches; otherwise build the
+  // masks here. Either way the masks are exact, so the output bytes are
+  // unaffected — but a rebuild fell off the forward_transform fast path, so
+  // make it observable (`store stats --json`).
   ScanIndex local_scan;
-  if (!coded.empty() && (!scan || !scan->matches(coeffs))) {
-    if (!src) metrics::counter("psp.codec.scanindex_rebuilds").add();
-    local_scan = build_masks(coeffs, grid, encode);
+  if (!scan || !scan->matches(coeffs)) {
+    metrics::counter("psp.codec.scanindex_rebuilds").add();
+    local_scan = build_masks(coeffs);
     scan = &local_scan;
   }
 
@@ -427,15 +375,14 @@ Bytes write_scan(const CoefficientImage& coeffs, const EncodeOptions& opts,
   if (opts.huffman == HuffmanMode::kOptimized) {
     // Histograms gathered on the pool into at most 64 slots (counts add up
     // the same in any order), then folded.
-    const std::size_t grain = (coded.size() + 63) / 64;
-    std::vector<SymbolHistogram> hist(exec::chunk_count(coded.size(), grain));
+    const std::size_t grain = (nseg + 63) / 64;
+    std::vector<SymbolHistogram> hist(exec::chunk_count(nseg, grain));
     exec::parallel_for_chunked(
-        coded.size(), grain,
-        [&](std::size_t chunk, std::size_t i0, std::size_t i1) {
+        nseg, grain, [&](std::size_t chunk, std::size_t s0, std::size_t s1) {
           auto& freq = hist[chunk].freq;
-          for (std::size_t i = i0; i < i1; ++i)
+          for (std::size_t s = s0; s < s1; ++s)
             walk_segment(
-                coeffs, *scan, grid, coded[i],
+                coeffs, *scan, grid, static_cast<int>(s),
                 [&](int t, std::uint8_t sym, int, int) { ++freq[0][t][sym]; },
                 [&](int t, std::uint8_t sym, int, int) { ++freq[1][t][sym]; });
         });
@@ -475,31 +422,21 @@ Bytes write_scan(const CoefficientImage& coeffs, const EncodeOptions& opts,
   Bytes out = w.take();
   const std::size_t entropy_start = out.size();
   // Segment 0 writes straight into `out` (a single-segment scan gains no
-  // copy); every other encoded segment into its own buffer.
+  // copy); every other segment into its own buffer. Each segment is
+  // entropy-coded on the exec pool with fresh DC predictors and a
+  // byte-aligned flush, so the bytes never depend on the thread count.
   std::vector<Bytes> seg(nseg);
-  const auto segment_bytes = [&](int s) -> std::span<const std::uint8_t> {
-    if (encode[static_cast<std::size_t>(s)])
-      return seg[static_cast<std::size_t>(s)];
-    const ScanSegment& r = src->segments[static_cast<std::size_t>(s)];
-    return std::span<const std::uint8_t>(src->entropy)
-        .subspan(r.begin, r.end - r.begin);
-  };
-  if (!encode[0]) {
-    const auto b = segment_bytes(0);
-    out.insert(out.end(), b.begin(), b.end());
-  }
   {
     const HuffmanEncoder dc_enc[2] = {HuffmanEncoder(dc_spec[0]),
                                       HuffmanEncoder(dc_spec[1])};
     const HuffmanEncoder ac_enc[2] = {HuffmanEncoder(ac_spec[0]),
                                       HuffmanEncoder(ac_spec[1])};
-    exec::parallel_for(coded.size(), [&](std::size_t i) {
-      const int s = coded[i];
-      Bytes& b = s == 0 ? out : seg[static_cast<std::size_t>(s)];
+    exec::parallel_for(nseg, [&](std::size_t s) {
+      Bytes& b = s == 0 ? out : seg[s];
       const std::size_t b0 = b.size();
       BitWriter bits(b);
       walk_segment(
-          coeffs, *scan, grid, s,
+          coeffs, *scan, grid, static_cast<int>(s),
           [&](int t, std::uint8_t sym, int v, int cat) {
             dc_enc[t].emit_with_magnitude(bits, sym, magnitude_bits(v, cat),
                                           cat);
@@ -517,106 +454,18 @@ Bytes write_scan(const CoefficientImage& coeffs, const EncodeOptions& opts,
   }
 
   std::size_t total = out.size() + 2;  // EOI
-  for (int s = 1; s < grid.count; ++s) total += 2 + segment_bytes(s).size();
+  for (std::size_t s = 1; s < nseg; ++s) total += 2 + seg[s].size();
   out.reserve(total);
-  for (int s = 1; s < grid.count; ++s) {
+  for (std::size_t s = 1; s < nseg; ++s) {
     // The marker a serial writer emits before MCU s * R: RST((s - 1) % 8).
     out.push_back(kMarkerPrefix);
     out.push_back(static_cast<std::uint8_t>(0xd0 + (s - 1) % 8));
-    const auto b = segment_bytes(s);
-    out.insert(out.end(), b.begin(), b.end());
+    out.insert(out.end(), seg[s].begin(), seg[s].end());
   }
   if (stats) stats->entropy_bytes = out.size() - entropy_start;
   out.push_back(kMarkerPrefix);
   out.push_back(kEOI);
-  if (delta_stats) {
-    delta_stats->segments_total = grid.count;
-    delta_stats->segments_reencoded = static_cast<int>(coded.size());
-    delta_stats->segments_copied = grid.count - delta_stats->segments_reencoded;
-  }
   return out;
-}
-
-}  // namespace
-
-Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
-                const ScanIndex* scan, EncodeStats* stats) {
-  return write_scan(coeffs, opts, scan, stats);
-}
-
-bool delta_eligible(const CoefficientImage& coeffs, const EncodeOptions& opts,
-                    const ScanSource& src) {
-  // Preconditions of the byte-identity contract: standard tables on both
-  // sides, the same restart cadence and the same geometry. Optimized-Huffman
-  // output depends on the global symbol histogram (one dirty MCU retables
-  // every segment), so it can never delta.
-  const int R = opts.restart_interval;
-  if (!(opts.huffman == HuffmanMode::kStandard && R > 0 &&
-        src.restart_interval == R && src.standard_tables &&
-        src.width == coeffs.width() && src.height == coeffs.height() &&
-        src.components == coeffs.component_count() &&
-        src.chroma == coeffs.chroma_mode() &&
-        static_cast<int>(src.segments.size()) ==
-            SegmentGrid(coeffs.mcu_count(), R).count))
-    return false;
-  for (const ScanSegment& r : src.segments)  // malformed = not a usable source
-    if (r.begin > r.end || r.end > src.entropy.size()) return false;
-  return true;
-}
-
-Bytes serialize_delta(const CoefficientImage& coeffs,
-                      const EncodeOptions& opts, const ScanSource& src,
-                      const DirtyMcuSet& dirty, const ScanIndex* scan,
-                      EncodeStats* stats, DeltaStats* delta_stats) {
-  if (delta_stats) *delta_stats = DeltaStats{};
-  if (!delta_eligible(coeffs, opts, src) || dirty.total != coeffs.mcu_count()) {
-    if (delta_stats) delta_stats->fallback = true;
-    return write_scan(coeffs, opts, scan, stats);
-  }
-  return write_scan(coeffs, opts, scan, stats, &src, &dirty, delta_stats);
-}
-
-void diff_dirty_mcus(const CoefficientImage& a, const CoefficientImage& b,
-                     DirtyMcuSet& dirty) {
-  require(a.width() == b.width() && a.height() == b.height() &&
-              a.component_count() == b.component_count() &&
-              a.chroma_mode() == b.chroma_mode(),
-          "diff_dirty_mcus requires identical geometry");
-  const int total = a.mcu_count();
-  dirty.reset(total);
-  const int mcu_cols = a.mcu_cols();
-  // Per-MCU char flags: parallel rows write disjoint elements; the serial
-  // fold below owns the shared bitset words. Compares stored (quantized)
-  // values only — callers gate on equal quant tables where that matters.
-  std::vector<char> flags(static_cast<std::size_t>(total), 0);
-  exec::parallel_for(static_cast<std::size_t>(a.mcu_rows()),
-                     [&](std::size_t my) {
-                       for (int mx = 0; mx < mcu_cols; ++mx) {
-                         bool diff = false;
-                         for (int c = 0;
-                              c < a.component_count() && !diff; ++c) {
-                           const Component& ca = a.component(c);
-                           const Component& cb = b.component(c);
-                           for (int by = 0; by < ca.v && !diff; ++by)
-                             for (int bx = 0; bx < ca.h; ++bx) {
-                               const int gx = mx * ca.h + bx;
-                               const int gy =
-                                   static_cast<int>(my) * ca.v + by;
-                               if (std::memcmp(ca.block(gx, gy).data(),
-                                               cb.block(gx, gy).data(),
-                                               sizeof(CoefBlock)) != 0) {
-                                 diff = true;
-                                 break;
-                               }
-                             }
-                         }
-                         if (diff)
-                           flags[my * static_cast<std::size_t>(mcu_cols) +
-                                 static_cast<std::size_t>(mx)] = 1;
-                       }
-                     });
-  for (int m = 0; m < total; ++m)
-    if (flags[static_cast<std::size_t>(m)]) dirty.mark(m);
 }
 
 std::vector<ScanSegment> scan_restart_segments(
@@ -674,8 +523,7 @@ constexpr std::size_t kDefaultMaxDecodePixels = 1'000'000'000;
 std::atomic<std::size_t> g_max_decode_pixels{0};
 
 CoefficientImage parse_impl(std::span<const std::uint8_t> data,
-                            ParseStats* stats, ScanSource* source) {
-  if (source) *source = ScanSource{};
+                            ParseStats* stats) {
   ByteReader r(data);
   if (r.u8() != kMarkerPrefix || r.u8() != kSOI)
     throw ParseError("missing SOI");
@@ -834,6 +682,7 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
 
   const SegmentGrid grid(img.mcu_count(), restart_interval);
   if (stats) {
+    stats->restart_interval = restart_interval;
     stats->restart_segments = grid.count;
     stats->parallel = false;
   }
@@ -851,14 +700,13 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
         });
   };
 
-  // One marker-aware partition serves both the segment-parallel decode and
-  // the retained ScanSource, all or nothing: a scan whose markers do not
-  // partition cleanly gets neither. On a one-lane pool the segment path
-  // would only be the serial decode plus this pre-scan, so it is skipped.
+  // The segment-parallel decode needs a marker-aware partition of the scan;
+  // a scan whose markers do not partition cleanly decodes serially. On a
+  // one-lane pool the segment path would only be the serial decode plus
+  // this pre-scan, so it is skipped.
   const bool parallel = grid.count > 1 && exec::thread_count() > 1;
   std::vector<ScanSegment> segs;
-  if (restart_interval > 0 && (parallel || source))
-    segs = scan_restart_segments(entropy, grid.count);
+  if (parallel) segs = scan_restart_segments(entropy, grid.count);
 
   // Segment-parallel decode — the exact inverse of the scan writer. Each
   // segment gets its own reader over its byte range; workers write disjoint
@@ -905,33 +753,6 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
     }
   }
 
-  // Retain the delta-serving context on request: the scan's entropy bytes,
-  // its segment table, and whether the tables are exactly the standard
-  // specs serialize() assigns. Filled only once the scan decoded, so a
-  // corrupt stream never yields one.
-  if (source && !segs.empty()) {
-    source->restart_interval = restart_interval;
-    source->entropy.assign(entropy.data(), entropy.data() + segs.back().end);
-    source->segments = std::move(segs);
-    bool std_tables = true;
-    for (int c = 0; c < scan_ncomp; ++c) {
-      const FrameComponent& fc = frame_comps[static_cast<std::size_t>(c)];
-      const HuffmanSpec& dc_used =
-          have_huff[0][fc.dc_table] ? huff[0][fc.dc_table] : std_dc_luma();
-      const HuffmanSpec& ac_used =
-          have_huff[1][fc.ac_table] ? huff[1][fc.ac_table] : std_ac_luma();
-      if (!(dc_used == std_spec_for_component(0, c)) ||
-          !(ac_used == std_spec_for_component(1, c))) {
-        std_tables = false;
-        break;
-      }
-    }
-    source->standard_tables = std_tables;
-    source->width = width;
-    source->height = height;
-    source->components = scan_ncomp;
-    source->chroma = mode;
-  }
   return img;
 }
 
@@ -956,13 +777,12 @@ void set_max_decode_pixels(std::size_t pixels) {
   g_max_decode_pixels.store(pixels, std::memory_order_relaxed);
 }
 
-CoefficientImage parse(std::span<const std::uint8_t> data, ParseStats* stats,
-                       ScanSource* source) {
+CoefficientImage parse(std::span<const std::uint8_t> data, ParseStats* stats) {
   // Clean taxonomy for hostile input: anything a malformed stream trips —
   // including deep precondition checks (Huffman spec sizes, image
   // dimensions) that report InvalidArgument — surfaces as ParseError.
   try {
-    return parse_impl(data, stats, source);
+    return parse_impl(data, stats);
   } catch (const ParseError&) {
     throw;
   } catch (const InvalidArgument& e) {

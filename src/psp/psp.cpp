@@ -29,46 +29,25 @@ std::unique_ptr<store::BlobStore> open_backend(const PspConfig& config) {
 /// Decode-side twin of measured_encode: upload-time parses funnel through
 /// here so `store stats --json` shows the decode cost next to the encode
 /// cost, plus how many restart segments fed the segment-parallel decoder.
-/// A non-null `source` retains the scan's delta-serving context.
 jpeg::CoefficientImage parse_measured(std::span<const std::uint8_t> data,
-                                      jpeg::ScanSource* source = nullptr) {
+                                      jpeg::ParseStats& stats) {
   metrics::ScopedTimer timer(metrics::histogram("psp.codec.decode_ms"));
-  jpeg::ParseStats stats;
-  jpeg::CoefficientImage img = jpeg::parse(data, &stats, source);
+  jpeg::CoefficientImage img = jpeg::parse(data, &stats);
   metrics::counter("psp.codec.decode_segments").add(stats.restart_segments);
   return img;
-}
-
-/// Per-request delta accounting: how many segments were spliced from the
-/// retained upload bytes vs re-entropy-coded, and how often a precondition
-/// miss (optimized tables, no restart markers, geometry change) fell back
-/// to the full path.
-void record_delta_metrics(const jpeg::DeltaStats& ds) {
-  if (ds.fallback) {
-    metrics::counter("psp.codec.delta_fallbacks").add();
-    return;
-  }
-  metrics::counter("psp.codec.segments_copied")
-      .add(static_cast<std::uint64_t>(ds.segments_copied));
-  metrics::counter("psp.codec.segments_reencoded")
-      .add(static_cast<std::uint64_t>(ds.segments_reencoded));
 }
 
 /// Every serving-side encode funnels through here: one timer histogram plus
 /// the entropy-segment accounting counters, so `store stats --json` shows
 /// the encode cost and the optimized-table win per upload/recompress.
-/// `encode(stats, delta)` runs the encode; the ones that go through
-/// serialize_delta also fill `delta`, and only those feed the delta
-/// counters.
+/// `encode(stats)` runs the encode and fills `stats`.
 template <typename Encode>
 Bytes measured_encode(Encode&& encode) {
   metrics::ScopedTimer timer(metrics::histogram("psp.codec.encode_ms"));
   jpeg::EncodeStats stats;
-  jpeg::DeltaStats delta;
-  Bytes out = encode(&stats, &delta);
+  Bytes out = encode(&stats);
   metrics::counter("psp.codec.entropy_bytes").add(stats.entropy_bytes);
   metrics::counter("psp.codec.entropy_saved_bytes").add(stats.saved_bytes);
-  if (delta.fallback || delta.segments_total > 0) record_delta_metrics(delta);
   return out;
 }
 
@@ -99,10 +78,10 @@ std::string PspService::upload(const Bytes& jfif, const Bytes& public_params) {
   // Parse and blob publication run outside the map lock: only the cheap
   // insert serializes against other uploads.
   metrics::counter("psp.codec.parse").add();
-  jpeg::ScanSource scan_src;
-  jpeg::CoefficientImage parsed = parse_measured(jfif, &scan_src);
+  jpeg::ParseStats stats;
+  jpeg::CoefficientImage parsed = parse_measured(jfif, stats);
   auto e = std::make_unique<Entry>();
-  e->scan_src = std::move(scan_src);
+  e->restart_interval = stats.restart_interval;
   e->digest = blobs_->put(jfif);
   // Live uploads hold a GC reference; remove() is what drops it.
   if (repl_) repl_->pin(e->digest);
@@ -136,7 +115,6 @@ void PspService::remove(const std::string& id) {
   // Release the heavy per-image state; the tombstoned Entry itself stays
   // (entry pointers resolved under the map lock must remain valid).
   e.parsed = jpeg::CoefficientImage{};
-  e.scan_src = jpeg::ScanSource{};
   e.public_params = Bytes{};
   e.transformed.reset();
   metrics::counter("psp.remove").add();
@@ -196,17 +174,11 @@ store::TransformResult PspService::compute_transform(
     metrics::ScopedTimer timer(metrics::histogram("psp.transform.lossless_ms"));
     metrics::counter("psp.codec.lossless_op")
         .add(static_cast<std::uint64_t>(chain.size()));
-    // Chain-level lossless apply with dirty-MCU tracking: identity steps
-    // leave the grid clean (every segment of the retained upload scan can
-    // be copied verbatim); crops/rotates/flips mark everything and the
-    // delta serializer falls back on the geometry mismatch.
-    jpeg::DirtyMcuSet dirty;
-    jpeg::CoefficientImage img =
-        transform::apply_lossless(chain, e.parsed, &dirty);
+    const jpeg::CoefficientImage img =
+        transform::apply_lossless(chain, e.parsed);
     metrics::counter("psp.codec.serialize").add();
-    r.jfif = measured_encode([&](jpeg::EncodeStats* st, jpeg::DeltaStats* ds) {
-      return jpeg::serialize_delta(img, eo, e.scan_src, dirty, nullptr, st,
-                                   ds);
+    r.jfif = measured_encode([&](jpeg::EncodeStats* st) {
+      return jpeg::serialize(img, eo, nullptr, st);
     });
   } else {
     require(mode != DeliveryMode::kCoefficients,
@@ -224,17 +196,10 @@ store::TransformResult PspService::compute_transform(
       metrics::counter("psp.codec.inverse").add();
       metrics::counter("psp.codec.forward").add();
       metrics::counter("psp.codec.recompress_streamed").add();
-      // Delta recompress: the round trip at the right quality leaves most
-      // blocks bit-identical to the upload parse, so only the segments the
-      // clamp actually changed re-entropy-code; the rest splice from the
-      // retained upload bytes. Bytes equal the full path's in every case
-      // (fallback included), so the shared cache key stays safe.
-      r.jfif = measured_encode(
-          [&](jpeg::EncodeStats* st, jpeg::DeltaStats* ds) {
-            return jpeg::recompress_delta_chunked(e.parsed, e.scan_src,
-                                                  reencode_quality, eo, copt,
-                                                  nullptr, st, ds);
-          });
+      r.jfif = measured_encode([&](jpeg::EncodeStats* st) {
+        return jpeg::recompress_chunked(e.parsed, reencode_quality, eo, copt,
+                                        nullptr, st);
+      });
       return r;
     }
     // An untrusted chain is bounded before the decode: a scale target that
@@ -258,7 +223,7 @@ store::TransformResult PspService::compute_transform(
       const jpeg::CoefficientImage coeffs =
           jpeg::forward_transform_clamped_chunked(
               transformed, reencode_quality, eo.chroma, copt, &scan);
-      r.jfif = measured_encode([&](jpeg::EncodeStats* st, jpeg::DeltaStats*) {
+      r.jfif = measured_encode([&](jpeg::EncodeStats* st) {
         return jpeg::serialize(coeffs, eo, &scan, st);
       });
     }
@@ -328,8 +293,8 @@ Download PspService::download(const std::string& id) {
       // config's): the heal re-publishes under the original content
       // address, so the bytes must match the upload, not a transform.
       const jpeg::EncodeOptions eo =
-          encode_options(config_, e.scan_src.restart_interval);
-      d.jfif = measured_encode([&](jpeg::EncodeStats* st, jpeg::DeltaStats*) {
+          encode_options(config_, e.restart_interval);
+      d.jfif = measured_encode([&](jpeg::EncodeStats* st) {
         return jpeg::serialize(e.parsed, eo, nullptr, st);
       });
       try {

@@ -21,9 +21,7 @@ Digest transform_cache_key(const Digest& source,
   w.u8(delivery_mode);
   w.i32(quality_relevant ? reencode_quality : 0);
   w.u8(encode_mode);
-  // Appended only when set, so restart-free keys stay byte-for-byte what
-  // pre-delta builds computed (cached digests survive the upgrade).
-  if (restart_interval > 0) w.i32(restart_interval);
+  w.i32(restart_interval);
   transform::write_chain(w, transform::canonicalize(chain));
   return sha256(w.bytes());
 }

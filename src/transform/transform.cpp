@@ -404,30 +404,13 @@ LosslessMap fold_lossless(const Chain& chain, int w, int h,
 }
 
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      const jpeg::CoefficientImage& img,
-                                      jpeg::DirtyMcuSet* dirty) {
+                                      const jpeg::CoefficientImage& img) {
   const LosslessMap m =
       fold_lossless(chain, img.width(), img.height(), img.subsampled());
-  jpeg::CoefficientImage out;
-  if (m.source == img.bounds() && m.d.identity()) {
-    out = img;
-  } else {
-    const auto [w, h] = m.d.output_size(m.source.w, m.source.h);
-    out = jpeg::blank_like(img, w, h, m.d);
-    jpeg::move_blocks(img, m.source, m.d, out, 0, 0);
-  }
-  if (dirty) {
-    // Crops/rotates/flips permute every block (and may change the grid), so
-    // no source segment's entropy bytes survive: size the set to the output
-    // grid and mark it wholesale. Identity-only chains leave a clean set of
-    // the (unchanged) grid — every segment copies.
-    const bool rewritten =
-        std::any_of(chain.begin(), chain.end(),
-                    [](const Step& s) { return s.kind != Kind::kIdentity; });
-    if (rewritten || dirty->total != out.mcu_count())
-      dirty->reset(out.mcu_count());
-    if (rewritten) dirty->mark_all();
-  }
+  if (m.source == img.bounds() && m.d.identity()) return img;
+  const auto [w, h] = m.d.output_size(m.source.w, m.source.h);
+  jpeg::CoefficientImage out = jpeg::blank_like(img, w, h, m.d);
+  jpeg::move_blocks(img, m.source, m.d, out, 0, 0);
   return out;
 }
 

@@ -234,18 +234,10 @@ jpeg::CoefficientImage apply_lossless(const Step& step,
 }
 
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      jpeg::CoefficientImage img,
-                                      jpeg::DirtyMcuSet* dirty) {
-  bool rewritten = false;
+                                      jpeg::CoefficientImage img) {
   for (const Step& s : chain) {
     if (s.kind == Kind::kIdentity) continue;  // no blocks move
     img = apply_lossless(s, img);
-    rewritten = true;
-  }
-  if (dirty) {
-    if (rewritten || dirty->total != img.mcu_count())
-      dirty->reset(img.mcu_count());
-    if (rewritten) dirty->mark_all();
   }
   return img;
 }

@@ -37,10 +37,9 @@ namespace puppies::transform::reference {
 /// One lossless step in the coefficient domain (InvalidArgument otherwise).
 jpeg::CoefficientImage apply_lossless(const Step& step,
                                       const jpeg::CoefficientImage& img);
-/// The chain one step at a time, with the library's DirtyMcuSet contract.
+/// The chain one step at a time.
 jpeg::CoefficientImage apply_lossless(const Chain& chain,
-                                      jpeg::CoefficientImage img,
-                                      jpeg::DirtyMcuSet* dirty = nullptr);
+                                      jpeg::CoefficientImage img);
 
 /// transform::apply with rotations, flips and crops done by their own
 /// per-step plane passes (every other step kind goes to the library).

@@ -117,6 +117,7 @@ TEST(ParallelDecode, ReportsSegmentCountAndDecodesSeriallyOnOneLane) {
   const Bytes stream = encode(img, 75, 5);
   ParseStats stats;
   (void)parse(stream, &stats);
+  EXPECT_EQ(stats.restart_interval, 5);
   EXPECT_EQ(stats.restart_segments, 20);
   EXPECT_TRUE(stats.parallel);
   ParseStats one_lane;
@@ -127,6 +128,7 @@ TEST(ParallelDecode, ReportsSegmentCountAndDecodesSeriallyOnOneLane) {
   // No restart interval: one segment, nothing to parallelize.
   ParseStats single;
   (void)parse(encode(img, 75, 0), &single);
+  EXPECT_EQ(single.restart_interval, 0);
   EXPECT_EQ(single.restart_segments, 1);
   EXPECT_FALSE(single.parallel);
 }
@@ -332,38 +334,6 @@ TEST(ChunkedDecode, PeakScratchIsHeightIndependent) {
   (void)decode_to_rgb(b, copt, &tall);
   EXPECT_EQ(small.peak_chunk_bytes, tall.peak_chunk_bytes);
   EXPECT_GT(tall.chunks, small.chunks);
-}
-
-TEST(ChunkedDecode, SinkSeesEveryRowInOrder) {
-  // Bands decode a wave of pool lanes at a time; the sink still sees rows
-  // strictly top to bottom, each equal to the reference decode's row.
-  ThreadGuard guard;
-  for (ChromaMode chroma : {ChromaMode::k444, ChromaMode::k420}) {
-    const CoefficientImage coeffs =
-        parse(encode(scene(64, 56), 75, 0, chroma));
-    const RgbImage want = reference::decode_to_rgb(coeffs);
-    for (int threads : {1, 3}) {
-      exec::configure(exec::Config{threads});
-      int next = 0;
-      ChunkOptions copt;
-      copt.mcu_rows = 1;
-      inverse_transform_chunked(
-          coeffs,
-          [&](int y, const std::uint8_t* r, const std::uint8_t* g,
-              const std::uint8_t* b) {
-            EXPECT_EQ(y, next++);
-            const auto row = [&](const Plane<std::uint8_t>& p) {
-              return std::vector<std::uint8_t>(p.row(y).begin(),
-                                               p.row(y).end());
-            };
-            EXPECT_EQ(std::vector<std::uint8_t>(r, r + 64), row(want.r));
-            EXPECT_EQ(std::vector<std::uint8_t>(g, g + 64), row(want.g));
-            EXPECT_EQ(std::vector<std::uint8_t>(b, b + 64), row(want.b));
-          },
-          copt);
-      EXPECT_EQ(next, 56);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -477,20 +477,6 @@ TEST(EncodeDifferential, CorpusMatchesSeedEncoderByteForByte) {
               << "chroma " << (mode == jpeg::ChromaMode::k420 ? 420 : 444)
               << " image " << i << " mode " << static_cast<int>(hm)
               << " restart " << restart;
-          // The delta entry point with nothing to copy from (a default
-          // ScanSource, every MCU dirty) is the same writer: same bytes.
-          jpeg::DirtyMcuSet dirty;
-          dirty.reset(corpus[i].mcu_count());
-          dirty.mark_all();
-          jpeg::DeltaStats ds;
-          ASSERT_EQ(jpeg::serialize_delta(corpus[i], opts, jpeg::ScanSource{},
-                                          dirty, nullptr, nullptr, &ds),
-                    want)
-              << "delta: chroma "
-              << (mode == jpeg::ChromaMode::k420 ? 420 : 444) << " image "
-              << i << " mode " << static_cast<int>(hm) << " restart "
-              << restart;
-          EXPECT_TRUE(ds.fallback);
         }
       }
     }

@@ -2,12 +2,13 @@
 // ASan and UBSan).
 //
 // Contract under test: core::recover, recover_lossless and recover_pixels,
-// handed public parameters a PSP edited (hostile ROI rects, mutated wire
-// bytes) next to a download of the protected image, either return or throw
-// ParseError / InvalidArgument: never another exception type, a crash or
-// undefined behaviour.
+// handed a triple a PSP edited (hostile ROI rects, mutated public
+// parameters, chains or download JFIF), either return or throw ParseError /
+// InvalidArgument: never another exception type, a crash or undefined
+// behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <string>
@@ -17,6 +18,7 @@
 #include "puppies/common/rng.h"
 #include "puppies/core/pipeline.h"
 #include "puppies/jpeg/codec.h"
+#include "puppies/psp/psp.h"
 #include "puppies/synth/synth.h"
 #include "puppies/transform/transform.h"
 
@@ -343,6 +345,104 @@ TEST(FuzzRecover, KeyedRoiGridsRecoverInBoundedTime) {
         got, reference::recover_pixels(download, params, chain, keys)))
         << name;
   }
+}
+
+/// One seeded byte mutant of a served JFIF: bit flips, truncation, a
+/// deleted span, inserted garbage, a corrupted marker code, a rewritten
+/// frame-header byte (size, component count, sampling, quant table), or the
+/// head of `base` spliced onto the tail of `other`.
+Bytes mutate_jfif(const Bytes& base, const Bytes& other, Rng& rng) {
+  Bytes m = base;
+  switch (rng.below(7)) {
+    case 0: {  // bit flips, anywhere
+      const int flips = 1 + static_cast<int>(rng.below(8));
+      for (int f = 0; f < flips; ++f)
+        m[rng.below(m.size())] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+      break;
+    }
+    case 1:  // truncation
+      m.resize(rng.below(m.size()));
+      break;
+    case 2: {  // delete a span
+      const std::size_t at = rng.below(m.size());
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.below(32), m.size() - at);
+      m.erase(m.begin() + static_cast<std::ptrdiff_t>(at),
+              m.begin() + static_cast<std::ptrdiff_t>(at + len));
+      break;
+    }
+    case 3: {  // insert garbage
+      Bytes junk(1 + rng.below(32));
+      for (std::uint8_t& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(rng.below(m.size())),
+               junk.begin(), junk.end());
+      break;
+    }
+    case 4: {  // the code after some 0xFF: headers, tables, RSTn, EOI
+      std::vector<std::size_t> codes;
+      for (std::size_t i = 0; i + 1 < m.size(); ++i)
+        if (m[i] == 0xFF) codes.push_back(i + 1);
+      if (!codes.empty())
+        m[codes[rng.below(codes.size())]] =
+            static_cast<std::uint8_t>(rng.below(256));
+      break;
+    }
+    case 5: {  // a byte of the SOF0 payload (after its marker and length)
+      const std::uint8_t sof[] = {0xFF, 0xC0};
+      const auto at = std::search(m.begin(), m.end(), sof, sof + 2);
+      const auto payload = static_cast<std::size_t>(at - m.begin()) + 4;
+      if (payload + 6 + 3 * 3 <= m.size())
+        m[payload + rng.below(6 + 3 * 3)] =
+            static_cast<std::uint8_t>(rng.below(256));
+      break;
+    }
+    default: {  // splice
+      m.resize(rng.below(m.size()));
+      const std::size_t tail = rng.below(other.size());
+      m.insert(m.end(), other.end() - static_cast<std::ptrdiff_t>(tail),
+               other.end());
+      break;
+    }
+  }
+  return m;
+}
+
+TEST(FuzzRecover, MutatedDownloadJfifThrowsOnlyTypedErrors) {
+  // The JFIF of the triple: two downloads served by an in-process PSP (a
+  // lossless crop + quarter turn, and a scale re-encoded with clamping),
+  // byte-mutated and fed through parse to the receiver that reads each.
+  constexpr int kMutants = 1000;
+  const jpeg::DecodeLimit limit(1'000'000);
+  const Shared& s = shared();
+  psp::PspService service;
+  const std::string id =
+      service.upload(jpeg::serialize(s.stored), s.params.serialize());
+  service.apply_transform(id, s.lossless, psp::DeliveryMode::kCoefficients);
+  const psp::Download lossless = service.download(id);
+  service.apply_transform(id, s.pixel, psp::DeliveryMode::kClampedReencode,
+                          75);
+  const psp::Download pixel = service.download(id);
+  const auto to_lossless = [&](const Bytes& jfif) {
+    recover_lossless(jpeg::parse(jfif), s.params, lossless.chain, s.keys);
+  };
+  const auto to_pixels = [&](const Bytes& jfif) {
+    recover_pixels(jpeg::inverse_transform(jpeg::parse(jfif)), s.params,
+                   pixel.chain, s.pixel_keys);
+  };
+  ASSERT_TRUE(typed_only("unmutated lossless",
+                         [&] { to_lossless(lossless.jfif); }));
+  ASSERT_TRUE(typed_only("unmutated pixel", [&] { to_pixels(pixel.jfif); }));
+
+  Rng rng("fuzz-recover-jfif");
+  int recovered = 0;
+  for (int trial = 0; trial < kMutants; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    const Bytes a = mutate_jfif(lossless.jfif, pixel.jfif, rng);
+    recovered += typed_only(what + ": lossless", [&] { to_lossless(a); });
+    const Bytes b = mutate_jfif(pixel.jfif, lossless.jfif, rng);
+    recovered += typed_only(what + ": pixel", [&] { to_pixels(b); });
+  }
+  EXPECT_GT(recovered, kMutants / 10);  // some go all the way through
 }
 
 }  // namespace

@@ -252,9 +252,9 @@ TEST(Lossless, NonAlignedDimensionsThrow) {
 }
 
 TEST(Lossless, EngineMatchesPerStepReferenceOnEveryChain) {
-  // Every chain of up to 4 steps: same coefficients, quant tables, dirty
-  // set and exception type as the step-at-a-time reference, at one pool
-  // lane and at four.
+  // Every chain of up to 4 steps: same coefficients, quant tables and
+  // exception type as the step-at-a-time reference, at one pool lane and at
+  // four.
   struct Restore {
     ~Restore() { exec::configure(exec::Config{}); }
   } restore;
@@ -270,20 +270,14 @@ TEST(Lossless, EngineMatchesPerStepReferenceOnEveryChain) {
           transform::reference::lossless_alphabet(img.width(), img.height());
       for (const transform::Chain& chain :
            transform::reference::all_chains(alphabet, 4)) {
-        DirtyMcuSet engine_dirty, reference_dirty;
         const auto engine = transform::reference::outcome_of(
-            [&] { return apply_lossless(chain, img, &engine_dirty); });
-        const auto expect = transform::reference::outcome_of([&] {
-          return transform::reference::apply_lossless(chain, img,
-                                                      &reference_dirty);
-        });
+            [&] { return apply_lossless(chain, img); });
+        const auto expect = transform::reference::outcome_of(
+            [&] { return transform::reference::apply_lossless(chain, img); });
         ASSERT_TRUE(engine == expect)
             << lanes << " lanes, " << img.width() << "x" << img.height()
             << ": " << transform::reference::chain_name(chain) << "-> "
             << engine.error << " vs " << expect.error;
-        ASSERT_EQ(engine_dirty.total, reference_dirty.total);
-        ASSERT_EQ(engine_dirty.all, reference_dirty.all);
-        ASSERT_EQ(engine_dirty.words, reference_dirty.words);
       }
     }
   }

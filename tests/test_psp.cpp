@@ -3,6 +3,7 @@
 #include "puppies/core/pipeline.h"
 #include "puppies/image/metrics.h"
 #include "puppies/jpeg/codec.h"
+#include "puppies/metrics/metrics.h"
 #include "puppies/psp/psp.h"
 #include "puppies/synth/synth.h"
 
@@ -142,6 +143,72 @@ TEST(Psp, CoefficientsModeRequiresLosslessChain) {
   EXPECT_THROW(psp.apply_transform(id, {transform::scale(64, 48)},
                                    DeliveryMode::kCoefficients),
                InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Serving encodes: every coefficient-domain result is one serialize() of the
+// transformed coefficients under the serving config.
+
+Bytes upload_bytes(jpeg::HuffmanMode huffman, int restart_interval) {
+  jpeg::EncodeOptions eo;
+  eo.huffman = huffman;
+  eo.restart_interval = restart_interval;
+  return jpeg::compress(
+      synth::generate(synth::Dataset::kPascal, 7, 96, 80).image, 75, eo);
+}
+
+TEST(PspServing, IdentityChainDownloadEqualsUpload) {
+  // A standard-table restart-64 upload is a serialize() fixpoint under the
+  // same settings, so the empty chain serves the upload's own bytes.
+  PspConfig cfg;
+  cfg.huffman = jpeg::HuffmanMode::kStandard;
+  cfg.restart_interval = 64;
+  PspService psp(cfg);
+  const Bytes upload = upload_bytes(cfg.huffman, cfg.restart_interval);
+  const std::string id = psp.upload(upload, {});
+  psp.apply_transform(id, {}, DeliveryMode::kCoefficients);
+  EXPECT_EQ(psp.download(id).jfif, upload);
+}
+
+TEST(PspServing, LosslessDownloadIsSerializeOfTheMovedCoefficients) {
+  const transform::Chain chain{transform::flip_v()};
+  for (const jpeg::HuffmanMode huffman :
+       {jpeg::HuffmanMode::kStandard, jpeg::HuffmanMode::kOptimized}) {
+    PspConfig cfg;
+    cfg.huffman = huffman;
+    cfg.cache_bytes = 0;
+    jpeg::EncodeOptions eo;
+    eo.huffman = huffman;
+    eo.restart_interval = cfg.restart_interval;
+    const Bytes upload = upload_bytes(huffman, cfg.restart_interval);
+    PspService psp(cfg);
+    const std::string id = psp.upload(upload, {});
+    psp.apply_transform(id, chain, DeliveryMode::kCoefficients);
+    EXPECT_EQ(psp.download(id).jfif,
+              jpeg::serialize(
+                  transform::apply_lossless(chain, jpeg::parse(upload)), eo))
+        << "huffman mode " << static_cast<int>(huffman);
+  }
+}
+
+// A serving-path download whose encode has no usable ScanIndex must bump
+// psp.codec.scanindex_rebuilds, and the counter is in the same registry JSON
+// `puppies store stats --json` embeds.
+TEST(PspServing, ShapeMismatchedIndexOnServingPathBumpsRebuildCounter) {
+  PspService psp;
+  const std::string id =
+      psp.upload(upload_bytes(jpeg::HuffmanMode::kOptimized, 64), {});
+  const std::uint64_t before =
+      metrics::counter("psp.codec.scanindex_rebuilds").value();
+  // rotate(90) changes the coefficient grid's shape, so no index matching
+  // the upload parse can cover the transformed image: the serving encode
+  // must rebuild.
+  psp.apply_transform(id, {transform::rotate(90)},
+                      DeliveryMode::kCoefficients);
+  EXPECT_FALSE(psp.download(id).jfif.empty());
+  EXPECT_GT(metrics::counter("psp.codec.scanindex_rebuilds").value(), before);
+  EXPECT_NE(metrics::dump_json().find("psp.codec.scanindex_rebuilds"),
+            std::string::npos);
 }
 
 TEST(SecureChannel, DeliversRingsPerReceiver) {

@@ -132,6 +132,25 @@ TEST(PspFaults, DownloadServesFromMemoryWhileStoreIsFullyDown) {
   EXPECT_EQ(psp.download(id).jfif, fixture().jfif);  // normal path again
 }
 
+TEST(PspFaults, HealReproducesTheUploadsOwnRestartInterval) {
+  // An upload whose restart cadence differs from the serving config's: the
+  // heal re-serializes at the upload's interval, so the bytes, and with
+  // them the content address, come back unchanged.
+  ScratchDir scratch("restart");
+  PspService psp(PspConfig{StoreBackend::kDisk, 0, scratch.str()});
+  jpeg::EncodeOptions eo;
+  eo.restart_interval = 5;
+  const Bytes upload = jpeg::serialize(jpeg::parse(fixture().jfif), eo);
+  const std::string id = psp.upload(upload, fixture().params);
+  const Digest d = psp.digest_of(id);
+  {
+    fault::ScopedPlan plan("store.get.corrupt=once");
+    EXPECT_EQ(psp.download(id).jfif, upload);
+  }
+  EXPECT_EQ(psp.digest_of(id), d);
+  EXPECT_EQ(psp.blobs().get(d), upload);
+}
+
 // --- Satellite: a transform compute that throws mid-flight must not poison
 // its cache key. The degraded retry serves this request; the next request
 // computes and caches normally.

@@ -271,45 +271,48 @@ TEST(Canonicalize, DihedralFoldIsExactInCoefficientDomain) {
   }
 }
 
+constexpr auto kOptimized =
+    static_cast<std::uint8_t>(jpeg::HuffmanMode::kOptimized);
+
+/// The key at the default serving encode (optimized tables, restart 64).
+Digest serving_key(const Digest& src, const transform::Chain& chain,
+           std::uint8_t delivery_mode, int quality, bool quality_relevant) {
+  return transform_cache_key(src, chain, delivery_mode, quality,
+                             quality_relevant, kOptimized, 64);
+}
+
 TEST(CacheKey, CanonicallyEqualChainsShareAKey) {
   const Digest src = sha256("some image");
-  const Digest k1 = transform_cache_key(
-      src, {transform::rotate(90), transform::rotate(90)}, 0, 85, false);
-  const Digest k2 =
-      transform_cache_key(src, {transform::rotate(180)}, 0, 85, false);
+  const Digest k1 =
+      serving_key(src, {transform::rotate(90), transform::rotate(90)}, 0, 85,
+                  false);
+  const Digest k2 = serving_key(src, {transform::rotate(180)}, 0, 85, false);
   EXPECT_EQ(k1, k2);
   // ...but a different source, mode, or chain separates keys.
-  EXPECT_NE(k1, transform_cache_key(sha256("other image"),
-                                    {transform::rotate(180)}, 0, 85, false));
-  EXPECT_NE(k1, transform_cache_key(src, {transform::rotate(180)}, 2, 85,
-                                    false));
-  EXPECT_NE(k1, transform_cache_key(src, {transform::rotate(270)}, 0, 85,
-                                    false));
+  EXPECT_NE(k1, serving_key(sha256("other image"), {transform::rotate(180)},
+                            0, 85, false));
+  EXPECT_NE(k1, serving_key(src, {transform::rotate(180)}, 2, 85, false));
+  EXPECT_NE(k1, serving_key(src, {transform::rotate(270)}, 0, 85, false));
 }
 
 TEST(CacheKey, QualityOnlyKeyedWhenRelevant) {
   const Digest src = sha256("img");
   const transform::Chain chain{transform::scale(32, 32)};
-  EXPECT_EQ(transform_cache_key(src, chain, 1, 85, false),
-            transform_cache_key(src, chain, 1, 50, false));
-  EXPECT_NE(transform_cache_key(src, chain, 2, 85, true),
-            transform_cache_key(src, chain, 2, 50, true));
+  EXPECT_EQ(serving_key(src, chain, 1, 85, false), serving_key(src, chain, 1, 50, false));
+  EXPECT_NE(serving_key(src, chain, 2, 85, true), serving_key(src, chain, 2, 50, true));
 }
 
-TEST(CacheKey, EncodeModeSeparatesKeysAndDefaultsToOptimized) {
+TEST(CacheKey, EncodeModeAndRestartIntervalSeparateKeys) {
   const Digest src = sha256("img");
   const transform::Chain chain{transform::rotate(90)};
-  const auto opt = static_cast<std::uint8_t>(jpeg::HuffmanMode::kOptimized);
   const auto std_mode =
       static_cast<std::uint8_t>(jpeg::HuffmanMode::kStandard);
-  // The default parameter matches PspConfig's default Huffman mode, so
-  // default-configured services keep producing the same keys as callers
-  // that pass the mode explicitly.
-  EXPECT_EQ(transform_cache_key(src, chain, 0, 85, false),
-            transform_cache_key(src, chain, 0, 85, false, opt));
-  // Different table modes serialize different bytes: never one cache entry.
-  EXPECT_NE(transform_cache_key(src, chain, 0, 85, false, opt),
-            transform_cache_key(src, chain, 0, 85, false, std_mode));
+  // Different table modes or restart cadences serialize different bytes:
+  // never one cache entry.
+  EXPECT_NE(transform_cache_key(src, chain, 0, 85, false, kOptimized, 64),
+            transform_cache_key(src, chain, 0, 85, false, std_mode, 64));
+  EXPECT_NE(transform_cache_key(src, chain, 0, 85, false, kOptimized, 64),
+            transform_cache_key(src, chain, 0, 85, false, kOptimized, 0));
 }
 
 TEST(CacheKey, ChainWireFormatUnchangedByEncodeModeField) {

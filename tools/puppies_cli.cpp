@@ -123,9 +123,9 @@ namespace {
                "                allocation (default derived from\n"
                "                PUPPIES_MAX_PIXELS: 3 bytes/pixel + 1 MiB)\n"
                "  --restart-interval N  MCUs per restart segment for every\n"
-               "                serving-side encode (default 64); enables\n"
-               "                delta re-encode of untouched segments\n"
-               "                (DESIGN.md \xc2\xa715); 0 disables restart markers\n"
+               "                serving-side encode (default 64), so receivers\n"
+               "                decode served scans segment-parallel\n"
+               "                (DESIGN.md \xc2\xa7" "13); 0 disables restart markers\n"
                "  --backend B   memory (default), disk (content-addressed\n"
                "                blobs under --dir), or replicated (R-way\n"
                "                replication over --shards disk shards under\n"
