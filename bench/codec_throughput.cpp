@@ -2,6 +2,7 @@
 // every experiment sits on (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
 #include <thread>
 
 #include "bench_common.h"
@@ -326,6 +327,46 @@ void emit_codec_json() {
     }
   }
   exec::configure(exec::Config{});
+
+  // First-touch probe (DESIGN.md §6) at 8 MP, the INRIA size: copy a
+  // YccImage (96 MB of float planes) and build a zeroed 4:4:4
+  // CoefficientImage (48 MB of blocks). Before each rep malloc_trim hands
+  // the previous rep's pages back to the kernel, so every rep writes memory
+  // the process has not touched, as a server request does; most of each
+  // time is then page faults, which ImageBuffer spreads over the lanes.
+  {
+    const int pw = 2448, ph = 3264;
+    const YccImage frame(pw, ph);
+    const jpeg::QuantTable q = jpeg::luma_quant_table(75);
+    const auto fresh_ms = [](auto&& fn) {
+      double best = 1e300;
+      for (int r = 0; r < 5; ++r) {
+        malloc_trim(0);
+        best = std::min(best, bench::min_ms(1, fn));
+      }
+      return best;
+    };
+    for (const int threads : {1, n_threads}) {
+      exec::configure(exec::Config{threads});
+      const double copy_ms = fresh_ms([&] {
+        const YccImage copy = frame;
+        benchmark::DoNotOptimize(copy.y.pixels().data());
+        benchmark::ClobberMemory();
+      });
+      const double alloc_ms = fresh_ms([&] {
+        const jpeg::CoefficientImage img(pw, ph, 3, q, q);
+        benchmark::DoNotOptimize(img.component(0).blocks.data());
+        benchmark::ClobberMemory();
+      });
+      stages.push_back({"ycc_copy", threads, copy_ms, 0});
+      stages.push_back({"coeff_image_alloc", threads, alloc_ms, 0});
+      std::printf(
+          "first touch at %dx%d, %d thread(s): YccImage copy %.1f ms, "
+          "zeroed CoefficientImage %.1f ms\n",
+          pw, ph, threads, copy_ms, alloc_ms);
+    }
+    exec::configure(exec::Config{});
+  }
 
   const double speedup = fwd_inv_ms_n > 0 ? fwd_inv_ms_1 / fwd_inv_ms_n : 0;
   std::printf(

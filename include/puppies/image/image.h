@@ -2,24 +2,22 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "puppies/common/error.h"
+#include "puppies/image/buffer.h"
 #include "puppies/image/geometry.h"
 
 namespace puppies {
 
 /// Single-channel raster of T, row-major. The basic pixel container shared
-/// by the whole library.
+/// by the whole library. Pixels live in an ImageBuffer, so constructing,
+/// copying and filling a large plane runs on the exec pool.
 template <typename T>
 class Plane {
  public:
   Plane() = default;
   Plane(int width, int height, T fill = T{})
-      : w_(width), h_(height),
-        data_(static_cast<std::size_t>(width) * height, fill) {
-    require(width >= 0 && height >= 0, "Plane dimensions must be >= 0");
-  }
+      : w_(width), h_(height), data_(area(width, height), fill) {}
 
   int width() const { return w_; }
   int height() const { return h_; }
@@ -48,17 +46,21 @@ class Plane {
   std::span<T> pixels() { return data_; }
   std::span<const T> pixels() const { return data_; }
 
-  void fill(T v) { std::fill(data_.begin(), data_.end(), v); }
+  void fill(T v) { data_.fill(v); }
 
   bool operator==(const Plane&) const = default;
 
  private:
+  static std::size_t area(int width, int height) {
+    require(width >= 0 && height >= 0, "Plane dimensions must be >= 0");
+    return static_cast<std::size_t>(width) * height;
+  }
   std::size_t idx(int x, int y) const {
     return static_cast<std::size_t>(y) * w_ + x;
   }
   int w_ = 0;
   int h_ = 0;
-  std::vector<T> data_;
+  ImageBuffer<T> data_;
 };
 
 using GrayU8 = Plane<std::uint8_t>;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "puppies/common/error.h"
+#include "puppies/image/buffer.h"
 #include "puppies/image/geometry.h"
 #include "puppies/jpeg/quant.h"
 
@@ -28,7 +29,7 @@ struct Component {
   int h = 1;              ///< horizontal sampling factor (luma 2 in 4:2:0)
   int v = 1;              ///< vertical sampling factor
   int quant_index = 0;    ///< index into CoefficientImage::qtables
-  std::vector<CoefBlock> blocks;
+  ImageBuffer<CoefBlock> blocks;  ///< row-major, blocks_w per row
 
   CoefBlock& block(int bx, int by) {
     require(bx >= 0 && bx < blocks_w && by >= 0 && by < blocks_h,

@@ -114,9 +114,13 @@ cmake --build build-perfbench -j"$(nproc)" --target puppies e2e_load
 # too: the lossless block gather (transform::apply_lossless) and the ROI
 # block walk behind recover_lossless (each ROI block reached in place in the
 # download) run on the pool, and the suite drives them over every lossless
-# chain of up to 4 steps.
+# chain of up to 4 steps. tests_foundation joins too: ImageBuffer fills and
+# copies every plane and coefficient image on the pool, concurrent server
+# requests reach them, and its ImageBuffer suite copies planes from two
+# threads beside a third holding a parallel region.
 cmake -B build-tsan -S . -DPUPPIES_SANITIZE=thread
-cmake --build build-tsan -j"$(nproc)" --target tests_store tests_chunked tests_net tests_decode tests_core
+cmake --build build-tsan -j"$(nproc)" --target tests_foundation tests_store tests_chunked tests_net tests_decode tests_core
+./build-tsan/tests/tests_foundation
 ./build-tsan/tests/tests_store
 ./build-tsan/tests/tests_chunked
 ./build-tsan/tests/tests_net
@@ -149,4 +153,4 @@ cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_core
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_fuzz
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_core
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec decode identity gate + perfbench build and self-test + tests_store/tests_chunked/tests_net/tests_decode/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec decode identity gate + perfbench build and self-test + tests_foundation/tests_store/tests_chunked/tests_net/tests_decode/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"

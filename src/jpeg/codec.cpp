@@ -736,10 +736,8 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
     if (!decoded) {
       // A half-written attempt leaves residue in the sparse-write blocks;
       // restore the all-zero precondition decode_block relies on.
-      for (int c = 0; c < img.component_count(); ++c) {
-        auto& blocks = img.component(c).blocks;
-        std::fill(blocks.begin(), blocks.end(), CoefBlock{});
-      }
+      for (int c = 0; c < img.component_count(); ++c)
+        img.component(c).blocks.fill(CoefBlock{});
     }
   }
   if (decoded) {

@@ -35,7 +35,7 @@ CoefficientImage::CoefficientImage(int width, int height, int components,
     // Component grids are padded to whole MCUs (libjpeg does the same).
     comp.blocks_w = mcu_cols * comp.h;
     comp.blocks_h = mcu_rows * comp.v;
-    comp.blocks.assign(
+    comp.blocks = ImageBuffer<CoefBlock>(
         static_cast<std::size_t>(comp.blocks_w) * comp.blocks_h, CoefBlock{});
   }
 }

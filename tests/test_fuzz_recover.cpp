@@ -445,5 +445,78 @@ TEST(FuzzRecover, MutatedDownloadJfifThrowsOnlyTypedErrors) {
   EXPECT_GT(recovered, kMutants / 10);  // some go all the way through
 }
 
+// A hostile PSP can also serve a well-formed JFIF that contradicts the
+// public parameters. Those downloads parse, so only the receivers' own
+// checks stand between them and a recovery that silently writes the wrong
+// blocks or pixels. Each served image below keeps everything else the
+// receiver checks consistent (block grid, MCU alignment), so the named
+// check is the one that must reject it.
+
+/// `img` as a receiver gets it: serialized, then parsed.
+jpeg::CoefficientImage served(const jpeg::CoefficientImage& img) {
+  return jpeg::parse(jpeg::serialize(img));
+}
+
+/// A 64x48 scene scaled to w x h.
+jpeg::CoefficientImage scene_coeffs(int w, int h, jpeg::ChromaMode mode) {
+  const YccImage scene =
+      rgb_to_ycc(synth::generate(synth::Dataset::kPascal, 6, 64, 48).image);
+  return jpeg::forward_transform(
+      transform::apply(transform::Chain{transform::scale(w, h)}, scene), 75,
+      mode);
+}
+
+TEST(HostilePsp, LosslessDownloadOfAnotherSizeIsRejected) {
+  // The chain serves 48x48. A 48x44 image has the same 6x6 block grid, so
+  // the ROI walk alone would accept it.
+  const Shared& s = shared();
+  const jpeg::CoefficientImage other =
+      served(scene_coeffs(48, 44, jpeg::ChromaMode::k444));
+  ASSERT_EQ(other.blocks_w(), s.turned.blocks_w());
+  ASSERT_EQ(other.blocks_h(), s.turned.blocks_h());
+  EXPECT_THROW(recover_lossless(other, s.params, s.lossless, s.keys),
+               InvalidArgument);
+}
+
+TEST(HostilePsp, PixelDownloadOfAnotherSizeIsRejected) {
+  // The chain serves 32x24. A larger frame holds every shadow window, so
+  // nothing but the size check would notice.
+  const Shared& s = shared();
+  const YccImage other = jpeg::inverse_transform(
+      served(scene_coeffs(40, 24, jpeg::ChromaMode::k444)));
+  EXPECT_THROW(recover_pixels(other, s.params, s.pixel, s.pixel_keys),
+               InvalidArgument);
+}
+
+TEST(HostilePsp, LosslessDownloadWithAnotherChromaLayoutIsRejected) {
+  // One 16-aligned ROI, so a 4:2:0 download's MCU grid admits it too.
+  const jpeg::CoefficientImage original =
+      scene_coeffs(64, 48, jpeg::ChromaMode::k444);
+  const SecretKey key = SecretKey::from_label("hostile-psp/layout");
+  const ProtectResult r = protect(
+      original, {RoiPolicy{Rect{16, 16, 32, 16}, key, Scheme::kBase}});
+  KeyRing keys;
+  keys.add(key);
+
+  jpeg::CoefficientImage gray(64, 48, 1, original.qtable(0),
+                              original.qtable(0));
+  gray.component(0).blocks = r.perturbed.component(0).blocks;
+  const jpeg::CoefficientImage subsampled =
+      served(scene_coeffs(64, 48, jpeg::ChromaMode::k420));
+
+  const transform::Chain none;
+  const transform::Chain moved{transform::crop_aligned(Rect{8, 0, 48, 48}),
+                               transform::rotate(90)};
+  EXPECT_THROW(recover_lossless(served(gray), r.params, none, keys),
+               InvalidArgument);
+  EXPECT_THROW(recover_lossless(served(transform::apply_lossless(moved, gray)),
+                                r.params, moved, keys),
+               InvalidArgument);
+  // Only the empty chain: the lossless fold already rejects moves of a
+  // 4:2:0 download.
+  EXPECT_THROW(recover_lossless(subsampled, r.params, none, keys),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace puppies::core

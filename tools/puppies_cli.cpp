@@ -108,12 +108,12 @@ namespace {
                "  --json        stats/scrub/gc report as JSON\n"
                "  --repair      scrub also purges quarantine/ and stale tmp files\n"
                "  --shards N    replicated composite over N disk shards under\n"
-               "                --dir (DESIGN.md \xc2\xa714); enables `store gc`\n"
+               "                --dir (DESIGN.md \xc2\xa7" "14); enables `store gc`\n"
                "  --replicas R / --quorum W   copies per blob and write acks\n"
                "                required (defaults 3 / 2, clamped to N)\n"
                "  --gc-grace N  operations an orphan ages before gc reclaims it\n"
                "\n"
-               "serve options (DESIGN.md \xc2\xa712):\n"
+               "serve options (DESIGN.md \xc2\xa7" "12):\n"
                "  --port N      TCP port; 0 (default) picks an ephemeral port\n"
                "  --host H      IPv4 bind address (default 127.0.0.1)\n"
                "  --max-inflight N   admitted-but-unanswered request cap; past\n"
@@ -132,7 +132,7 @@ namespace {
                "                --dir, with failover reads + read-repair)\n"
                "  --shards/--replicas/--quorum/--hot-bytes/--gc-grace/\n"
                "  --scrub-interval-ms/--scrub-budget-bytes   replicated-store\n"
-               "                knobs (DESIGN.md \xc2\xa714); the scrub pair arms\n"
+               "                knobs (DESIGN.md \xc2\xa7" "14); the scrub pair arms\n"
                "                the background anti-entropy scheduler\n"
                "  --port-file PATH   write the bound port to PATH once\n"
                "                listening (scripts wait on this)\n"
