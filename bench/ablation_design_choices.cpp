@@ -31,8 +31,8 @@ int main() {
       const jpeg::CoefficientImage original =
           jpeg::forward_transform(rgb_to_ycc(scene.image), 75);
       const double base = static_cast<double>(
-          jpeg::serialize(original,
-                          jpeg::EncodeOptions{jpeg::HuffmanMode::kStandard})
+          jpeg::serialize(original, bench::paper_size_options(
+                                        jpeg::HuffmanMode::kStandard))
               .size());
       jpeg::CoefficientImage img = original;
       core::perturb_roi(img, bench::full_roi(img),
@@ -40,12 +40,13 @@ int main() {
                             "ablate/" + std::to_string(i))),
                         scheme, core::params_for(core::PrivacyLevel::kMedium));
       std_sizes.push_back(
-          jpeg::serialize(img, jpeg::EncodeOptions{jpeg::HuffmanMode::kStandard})
+          jpeg::serialize(img, bench::paper_size_options(
+                                   jpeg::HuffmanMode::kStandard))
               .size() /
           base);
       opt_sizes.push_back(
-          jpeg::serialize(img,
-                          jpeg::EncodeOptions{jpeg::HuffmanMode::kOptimized})
+          jpeg::serialize(img, bench::paper_size_options(
+                                   jpeg::HuffmanMode::kOptimized))
               .size() /
           base);
     }
@@ -136,8 +137,11 @@ int main() {
                                        core::Scheme::kCompression,
                                        core::PrivacyLevel::kMedium}});
         const double ratio =
-            static_cast<double>(jpeg::serialize(shared.perturbed).size()) /
-            static_cast<double>(jpeg::serialize(original).size());
+            static_cast<double>(
+                jpeg::serialize(shared.perturbed, bench::paper_size_options())
+                    .size()) /
+            static_cast<double>(
+                jpeg::serialize(original, bench::paper_size_options()).size());
         core::KeyRing keys;
         keys.add(key);
         const bool exact =

@@ -46,6 +46,17 @@ inline Rect full_roi(const jpeg::CoefficientImage& img) {
   return Rect{0, 0, img.blocks_w() * 8, img.blocks_h() * 8};
 }
 
+/// Encode settings for the file sizes the paper reports: no restart
+/// markers, as in the paper's encoder, so the sizes stay comparable to its
+/// figures (the library default adds one RSTn per MCU row).
+inline jpeg::EncodeOptions paper_size_options(
+    jpeg::HuffmanMode huffman = jpeg::HuffmanMode::kOptimized) {
+  jpeg::EncodeOptions eo;
+  eo.huffman = huffman;
+  eo.restart_interval = 0;
+  return eo;
+}
+
 inline void header(const char* title, const char* paper_ref) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);

@@ -328,14 +328,17 @@ void emit_codec_json() {
   }
   exec::configure(exec::Config{});
 
-  // First-touch probe (DESIGN.md §6) at 8 MP, the INRIA size: copy a
-  // YccImage (96 MB of float planes) and build a zeroed 4:4:4
-  // CoefficientImage (48 MB of blocks). Before each rep malloc_trim hands
-  // the previous rep's pages back to the kernel, so every rep writes memory
-  // the process has not touched, as a server request does; most of each
-  // time is then page faults, which ImageBuffer spreads over the lanes.
+  // 8 MP, the INRIA size.
+  const int pw = 2448, ph = 3264;
+  const double mp8 = pw * ph / 1e6;
+
+  // First-touch probe (DESIGN.md §6): copy a YccImage (96 MB of float
+  // planes) and build a zeroed 4:4:4 CoefficientImage (48 MB of blocks).
+  // Before each rep malloc_trim hands the previous rep's pages back to the
+  // kernel, so every rep writes memory the process has not touched, as a
+  // server request does; most of each time is then page faults, which
+  // ImageBuffer spreads over the lanes.
   {
-    const int pw = 2448, ph = 3264;
     const YccImage frame(pw, ph);
     const jpeg::QuantTable q = jpeg::luma_quant_table(75);
     const auto fresh_ms = [](auto&& fn) {
@@ -368,6 +371,41 @@ void emit_codec_json() {
     exec::configure(exec::Config{});
   }
 
+  // Entropy-layer probe (DESIGN.md §11, §13): serialize without restart
+  // markers (one segment, so one lane whatever the pool), serialize at the
+  // default one segment per MCU row, and parse that row-restart stream.
+  {
+    const synth::SceneImage scene =
+        synth::generate(synth::Dataset::kInria, 0, pw, ph);
+    const jpeg::CoefficientImage coeffs =
+        jpeg::forward_transform(rgb_to_ycc(scene.image), 75);
+    jpeg::EncodeOptions r0;
+    r0.restart_interval = 0;
+    const Bytes row_jpg = jpeg::serialize(coeffs);
+    for (const int threads : {1, n_threads}) {
+      exec::configure(exec::Config{threads});
+      const double r0_ms = bench::min_ms(3, [&] {
+        benchmark::DoNotOptimize(jpeg::serialize(coeffs, r0));
+      });
+      const double row_ms = bench::min_ms(3, [&] {
+        benchmark::DoNotOptimize(jpeg::serialize(coeffs));
+      });
+      const double parse_ms = bench::min_ms(3, [&] {
+        benchmark::DoNotOptimize(jpeg::parse(row_jpg));
+      });
+      stages.push_back({"serialize_r0", threads, r0_ms, mp8 / (r0_ms / 1e3)});
+      stages.push_back(
+          {"serialize_row", threads, row_ms, mp8 / (row_ms / 1e3)});
+      stages.push_back(
+          {"parse_row", threads, parse_ms, mp8 / (parse_ms / 1e3)});
+      std::printf(
+          "entropy layer at %dx%d, %d thread(s): serialize %.1f ms without "
+          "restarts, %.1f ms at one segment per MCU row; parse %.1f ms\n",
+          pw, ph, threads, r0_ms, row_ms, parse_ms);
+    }
+    exec::configure(exec::Config{});
+  }
+
   const double speedup = fwd_inv_ms_n > 0 ? fwd_inv_ms_1 / fwd_inv_ms_n : 0;
   std::printf(
       "codec scaling: forward+inverse %.1f ms @1 thread, %.1f ms @%d "
@@ -380,7 +418,9 @@ void emit_codec_json() {
   // decode (JFIF bytes -> RGB) throughput on every tier this host supports.
   const kernels::SimdTier initial_tier = kernels::active_tier();
   exec::configure(exec::Config{1});
-  const Bytes jpg = jpeg::compress(big.image, 75);
+  jpeg::EncodeOptions plain;  // one segment: the serial entropy coders alone
+  plain.restart_interval = 0;
+  const Bytes jpg = jpeg::compress(big.image, 75, plain);
   char line[512];
   std::string extras = "  \"simd_tier\": \"" +
                        std::string(kernels::to_string(initial_tier)) +
@@ -429,7 +469,7 @@ void emit_codec_json() {
         bench::min_ms(3, [&] { coeffs = jpeg::forward_transform(ycc, 75); });
     Bytes ser;
     const double ser_ms =
-        bench::min_ms(3, [&] { ser = jpeg::serialize(coeffs); });
+        bench::min_ms(3, [&] { ser = jpeg::serialize(coeffs, plain); });
     RgbImage rgb;
     const double dec_ms =
         bench::min_ms(3, [&] { rgb = jpeg::decompress(jpg); });
@@ -476,7 +516,7 @@ void emit_codec_json() {
     const jpeg::CoefficientImage coeffs = jpeg::forward_transform(ycc, 75);
     jpeg::EncodeStats opt_stats, std_stats;
     const Bytes opt_bytes =
-        jpeg::serialize(coeffs, {}, nullptr, &opt_stats);
+        jpeg::serialize(coeffs, plain, nullptr, &opt_stats);
     const jpeg::EncodeOptions std_opts{jpeg::HuffmanMode::kStandard,
                                        jpeg::ChromaMode::k444, 0};
     jpeg::serialize(coeffs, std_opts, nullptr, &std_stats);
@@ -502,14 +542,13 @@ void emit_codec_json() {
   exec::configure(exec::Config{});
 
   // Chunked streaming encode (DESIGN.md §11): full pixels -> JFIF bytes via
-  // the bounded-memory MCU-row pipeline, with one restart segment per MCU
-  // row so the entropy encode parallelizes maximally. Byte identity between
-  // the 1-thread and N-thread runs is the determinism contract;
+  // the bounded-memory MCU-row pipeline, at the default one restart segment
+  // per MCU row so the entropy encode parallelizes maximally. Byte identity
+  // between the 1-thread and N-thread runs is the determinism contract;
   // peak_chunk_bytes is the fixed per-chunk scratch footprint that makes
   // the path memory-bounded regardless of image height.
   {
-    jpeg::EncodeOptions eo;
-    eo.restart_interval = w / 8;  // one segment per MCU row
+    const jpeg::EncodeOptions eo;
     jpeg::ChunkStats cstats;
     Bytes chunked_1, chunked_n;
     exec::configure(exec::Config{1});
@@ -546,9 +585,7 @@ void emit_codec_json() {
   // and the serial paths (the determinism contract). A one-lane pool always
   // takes the serial decoder, so the 1-thread run is the serial baseline.
   {
-    jpeg::EncodeOptions eo;
-    eo.restart_interval = w / 8;  // one segment per MCU row
-    const Bytes restart_jpg = jpeg::compress(big.image, 75, eo);
+    const Bytes restart_jpg = jpeg::compress(big.image, 75);
     jpeg::CoefficientImage dec_coeffs;
     jpeg::ParseStats pstats;
     exec::configure(exec::Config{1});

@@ -18,15 +18,15 @@ bench::Stats measure(synth::Dataset d, core::Scheme scheme,
     const jpeg::CoefficientImage original =
         jpeg::forward_transform(rgb_to_ycc(scene.image), 75);
     const std::size_t original_bytes =
-        jpeg::serialize(original,
-                        jpeg::EncodeOptions{jpeg::HuffmanMode::kStandard})
+        jpeg::serialize(original, bench::paper_size_options(
+                                      jpeg::HuffmanMode::kStandard))
             .size();
     jpeg::CoefficientImage img = original;
     const core::MatrixPair pair = core::MatrixPair::derive(
         SecretKey::from_label("fig17/" + std::to_string(i)));
     core::perturb_roi(img, bench::full_roi(img), pair, scheme,
                       core::params_for(level));
-    sizes.push_back(static_cast<double>(jpeg::serialize(img).size()) /
+    sizes.push_back(static_cast<double>(jpeg::serialize(img, bench::paper_size_options()).size()) /
                     static_cast<double>(original_bytes));
   }
   return bench::Stats::of(sizes);

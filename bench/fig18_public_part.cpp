@@ -25,7 +25,7 @@ double public_part_size(const jpeg::CoefficientImage& original,
       original,
       {core::RoiPolicy{roi, SecretKey::from_label("fig18/" + std::to_string(index)),
                        scheme, core::PrivacyLevel::kMedium}});
-  const std::size_t image_bytes = jpeg::serialize(shared.perturbed).size();
+  const std::size_t image_bytes = jpeg::serialize(shared.perturbed, bench::paper_size_options()).size();
   const std::size_t param_bytes = without_zind
                                       ? shared.params.byte_size_without_zind()
                                       : shared.params.byte_size();
@@ -52,8 +52,8 @@ int main() {
         const jpeg::CoefficientImage original =
             jpeg::forward_transform(rgb_to_ycc(scene.image), 75);
         const std::size_t original_bytes =
-            jpeg::serialize(original,
-                            jpeg::EncodeOptions{jpeg::HuffmanMode::kStandard})
+            jpeg::serialize(original, bench::paper_size_options(
+                                          jpeg::HuffmanMode::kStandard))
                 .size();
         c.push_back(public_part_size(original, original_bytes,
                                      core::Scheme::kCompression, pct / 100.0,

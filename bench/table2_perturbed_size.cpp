@@ -19,7 +19,7 @@ double normalized_size(const jpeg::CoefficientImage& original,
   core::perturb_roi(img, bench::full_roi(img), pair, scheme,
                     core::params_for(core::PrivacyLevel::kMedium));
   const std::size_t bytes =
-      jpeg::serialize(img, jpeg::EncodeOptions{mode}).size();
+      jpeg::serialize(img, bench::paper_size_options(mode)).size();
   return static_cast<double>(bytes) / static_cast<double>(original_bytes);
 }
 
@@ -38,8 +38,8 @@ int main() {
     const jpeg::CoefficientImage original =
         jpeg::forward_transform(rgb_to_ycc(scene.image), 75);
     const std::size_t original_bytes =
-        jpeg::serialize(original,
-                        jpeg::EncodeOptions{jpeg::HuffmanMode::kStandard})
+        jpeg::serialize(original, bench::paper_size_options(
+                                      jpeg::HuffmanMode::kStandard))
             .size();
     const SecretKey key = SecretKey::from_label("table2/" + std::to_string(i));
     // PuPPIeS-B keeps the library-default tables (that IS its overhead story);

@@ -12,14 +12,13 @@ namespace puppies::jpeg {
 /// byte after every 0xFF, as the standard requires.
 ///
 /// The accumulator is 64 bits wide so a Huffman code and its magnitude bits
-/// can be emitted in a single put() (up to 16 + 11 = 27 bits), and whole
-/// bytes drain in bulk: at most 7 bits stay buffered between calls, so each
-/// drain flushes 1..7 bytes at once, with a whole-word 0xFF scan deciding
-/// between a straight append and the per-byte stuffing path.
+/// can be emitted in a single put() (up to 16 + 11 = 27 bits), and it drains
+/// in whole words: up to 63 bits stay buffered between calls, and the put
+/// that fills the word appends its 8 bytes at once — one resize and 8 stores
+/// when no byte is 0xFF, the per-byte stuffing path when one is.
 class BitWriter {
  public:
-  /// Largest `count` a single put() accepts: 7 buffered bits + 57 new bits
-  /// still fit the 64-bit accumulator.
+  /// Largest `count` a single put() accepts.
   static constexpr int kMaxPutBits = 57;
 
   explicit BitWriter(Bytes& out) : out_(out) {}
@@ -29,33 +28,39 @@ class BitWriter {
   /// most a 16-bit code fused with an 11-bit magnitude.
   void put(std::uint64_t bits, int count) {
     assert(count >= 0 && count <= kMaxPutBits);
-    assert(nbits_ >= 0 && nbits_ <= 7);
-    if (count == 0) return;
-    acc_ = (acc_ << count) | (bits & ((std::uint64_t{1} << count) - 1));
-    nbits_ += count;
-    if (nbits_ >= 8) drain();
+    assert(nbits_ >= 0 && nbits_ <= 63);
+    bits &= (std::uint64_t{1} << count) - 1;
+    const int room = 64 - nbits_;
+    if (count < room) {
+      acc_ = (acc_ << count) | bits;
+      nbits_ += count;
+      return;
+    }
+    // The word fills: its top `room` bits come from this put (room >= 7,
+    // so the shift stays below 64), the rest start the next word.
+    const int rest = count - room;
+    drain_word((acc_ << room) | (bits >> rest));
+    acc_ = bits & ((std::uint64_t{1} << rest) - 1);
+    nbits_ = rest;
   }
 
-  /// Pads the final partial byte with 1-bits and flushes it.
+  /// Pads the final partial byte with 1-bits and flushes every buffered
+  /// byte.
   void flush();
 
-  /// Flushes, then emits restart marker RSTn (n in 0..7) unstuffed.
+  /// Flushes, then emits restart marker RSTn (n in 0..7) unstuffed. flush()
+  /// leaves the writer empty, so a restart segment's bytes are
+  /// self-contained and segments encoded by independent writers concatenate
+  /// — with RSTn markers between them — into exactly the stream one serial
+  /// writer would have produced.
   void restart_marker(int n);
 
-  /// True iff the writer sits on a byte boundary (no buffered bits). This
-  /// is the property the parallel-segment encoder rests on: flush() leaves
-  /// the writer aligned, so a restart segment's bytes are self-contained
-  /// and segments encoded by independent writers concatenate — with RSTn
-  /// markers between them — into exactly the stream one serial writer
-  /// would have produced.
-  bool aligned() const { return nbits_ == 0; }
-
  private:
-  void drain();
+  void drain_word(std::uint64_t w);
   void emit_byte(std::uint8_t b);
   Bytes& out_;
   std::uint64_t acc_ = 0;
-  int nbits_ = 0;  ///< buffered bit count; < 8 between put() calls
+  int nbits_ = 0;  ///< buffered bit count; < 64 between put() calls
 };
 
 /// MSB-first bit reader that un-stuffs 0xFF00 and stops at any other marker.

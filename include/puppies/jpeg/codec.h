@@ -18,13 +18,20 @@ namespace puppies::jpeg {
 /// (libjpeg -optimize; the paper's fix in PuPPIeS-C).
 enum class HuffmanMode { kStandard, kOptimized };
 
+/// EncodeOptions::restart_interval value for one restart segment per MCU
+/// row: serialize() writes a DRI of the image's mcu_cols().
+inline constexpr int kRestartEveryMcuRow = -1;
+
 struct EncodeOptions {
   HuffmanMode huffman = HuffmanMode::kOptimized;
   /// Chroma layout used by compress() when encoding pixels.
   ChromaMode chroma = ChromaMode::k444;
-  /// Restart interval in MCUs (DRI segment + RSTn markers); 0 = none.
-  /// Restart markers bound error propagation in damaged streams.
-  int restart_interval = 0;
+  /// Restart interval in MCUs (DRI segment + RSTn markers); 0 = none. The
+  /// default, one segment per MCU row, lets serialize() write and parse()
+  /// read the scan's segments on every exec pool lane for about 0.25% more
+  /// bytes; restart markers also bound error propagation in damaged
+  /// streams.
+  int restart_interval = kRestartEveryMcuRow;
 };
 
 /// Per-block nonzero-coefficient masks (bit z set iff the zig-zag position z

@@ -9,36 +9,29 @@ void BitWriter::emit_byte(std::uint8_t b) {
   if (b == 0xff) out_.push_back(0x00);  // byte stuffing
 }
 
-void BitWriter::drain() {
-  // 1..8 whole buffered bytes; keep the partial-byte remainder buffered.
-  const int whole = nbits_ >> 3;
-  nbits_ &= 7;
-  const std::uint64_t lanes = ~std::uint64_t{0} >> ((8 - whole) * 8);
-  const std::uint64_t w = (acc_ >> nbits_) & lanes;
+void BitWriter::drain_word(std::uint64_t w) {
   // Fast path: no byte is 0xFF, so no stuffing — append the word in one go.
-  // Zero-byte detection (bit-twiddling haszero) on w ^ lanes: a zero byte
-  // there is a 0xFF byte in w. Exact for "is any byte zero", which is all
-  // the branch needs.
-  const std::uint64_t inv = w ^ lanes;
-  const bool has_ff = ((inv - (0x0101010101010101ull & lanes)) & ~inv &
-                       (0x8080808080808080ull & lanes)) != 0;
-  if (!has_ff) {
+  // Zero-byte detection (bit-twiddling haszero) on ~w: a zero byte there is
+  // a 0xFF byte in w. Exact for "is any byte zero", which is all the branch
+  // needs.
+  const std::uint64_t inv = ~w;
+  if (((inv - 0x0101010101010101ull) & ~inv & 0x8080808080808080ull) == 0) {
     const std::size_t n = out_.size();
-    out_.resize(n + static_cast<std::size_t>(whole));
-    for (int i = 0; i < whole; ++i)
-      out_[n + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(w >> (8 * (whole - 1 - i)));
+    out_.resize(n + 8);
+    for (std::size_t i = 0; i < 8; ++i)
+      out_[n + i] = static_cast<std::uint8_t>(w >> (56 - 8 * i));
     return;
   }
-  for (int i = whole - 1; i >= 0; --i)
-    emit_byte(static_cast<std::uint8_t>(w >> (8 * i)));
+  for (int i = 56; i >= 0; i -= 8) emit_byte(static_cast<std::uint8_t>(w >> i));
 }
 
 void BitWriter::flush() {
-  if (nbits_ > 0) {
-    const int pad = 8 - nbits_;
-    put((1u << pad) - 1, pad);  // pad with 1s
-  }
+  const int pad = -nbits_ & 7;
+  put((1u << pad) - 1, pad);  // pad with 1s (may drain a full word)
+  for (int i = nbits_ - 8; i >= 0; i -= 8)
+    emit_byte(static_cast<std::uint8_t>(acc_ >> i));
+  acc_ = 0;
+  nbits_ = 0;
 }
 
 void BitWriter::restart_marker(int n) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 
 #include "puppies/exec/parallel_for.h"
 #include "puppies/fault/fault.h"
@@ -266,7 +267,6 @@ void write_headers(ByteWriter& w, const CoefficientImage& coeffs,
     write_dht(w, ac_spec[1], 1, 1);
   }
   if (restart_interval > 0) {
-    require(restart_interval <= 0xffff, "restart interval too large");
     write_marker(w, 0xdd);  // DRI
     w.u16(4);
     w.u16(static_cast<std::uint16_t>(restart_interval));
@@ -356,7 +356,12 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
   require(coeffs.component_count() == 1 || coeffs.component_count() == 3,
           "serialize supports 1 or 3 components");
   if (stats) *stats = EncodeStats{};
-  const SegmentGrid grid(coeffs.mcu_count(), opts.restart_interval);
+  const int restart_interval = opts.restart_interval == kRestartEveryMcuRow
+                                   ? coeffs.mcu_cols()
+                                   : opts.restart_interval;
+  require(restart_interval >= 0 && restart_interval <= 0xffff,
+          "restart interval out of range");
+  const SegmentGrid grid(coeffs.mcu_count(), restart_interval);
   const auto nseg = static_cast<std::size_t>(grid.count);
 
   // Trust a supplied index only if its shape matches; otherwise build the
@@ -418,7 +423,7 @@ Bytes serialize(const CoefficientImage& coeffs, const EncodeOptions& opts,
   }
 
   ByteWriter w;
-  write_headers(w, coeffs, dc_spec, ac_spec, opts.restart_interval);
+  write_headers(w, coeffs, dc_spec, ac_spec, restart_interval);
   Bytes out = w.take();
   const std::size_t entropy_start = out.size();
   // Segment 0 writes straight into `out` (a single-segment scan gains no
@@ -477,10 +482,10 @@ std::vector<ScanSegment> scan_restart_segments(
   std::size_t i = 0;
   const std::size_t n = entropy.size();
   while (i < n) {
-    if (entropy[i] != 0xff) {
-      ++i;
-      continue;
-    }
+    const void* ff = std::memchr(entropy.data() + i, 0xff, n - i);
+    if (!ff) break;
+    i = static_cast<std::size_t>(static_cast<const std::uint8_t*>(ff) -
+                                 entropy.data());
     // A dangling 0xFF as the very last byte cannot be classified; leave it
     // inside the final segment, whose reader reports it iff bits past it
     // are actually needed — exactly like the serial decoder.
@@ -750,6 +755,15 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
       decode_segment(bits, s);
     }
   }
+
+  // After the last MCU the next marker must be EOI (fill bytes aside): a
+  // stream cut inside or before its EOI, or one with restart segments past
+  // the DRI's count, is rejected rather than decoded from its tail.
+  if (segs.empty()) segs = scan_restart_segments(entropy, grid.count);
+  std::size_t eoi = segs.empty() ? entropy.size() : segs.back().end;
+  while (eoi + 2 < entropy.size() && entropy[eoi + 1] == kMarkerPrefix) ++eoi;
+  if (eoi + 1 >= entropy.size() || entropy[eoi + 1] != kEOI)
+    throw ParseError("scan does not end at EOI");
 
   return img;
 }

@@ -52,12 +52,16 @@ jpeg::CoefficientImage recombine(const jpeg::CoefficientImage& public_part,
   return out;
 }
 
+// Sizes as the paper measures them (Fig. 11/18): without restart markers.
+constexpr jpeg::EncodeOptions kSizeOptions{jpeg::HuffmanMode::kOptimized,
+                                           jpeg::ChromaMode::k444, 0};
+
 std::size_t public_size(const Split& s) {
-  return jpeg::serialize(s.public_part).size();
+  return jpeg::serialize(s.public_part, kSizeOptions).size();
 }
 
 std::size_t private_size(const Split& s) {
-  return jpeg::serialize(s.private_part).size();
+  return jpeg::serialize(s.private_part, kSizeOptions).size();
 }
 
 namespace {

@@ -68,7 +68,12 @@ PspService::PspService(const PspConfig& config)
     : config_(config),
       blobs_(open_backend(config)),
       repl_(dynamic_cast<store::ReplicatedStore*>(blobs_.get())),
-      cache_(config.cache_bytes) {}
+      cache_(config.cache_bytes) {
+  // A negative EncodeOptions interval is the per-MCU-row default, which the
+  // serving cadence does not take.
+  require(config.restart_interval >= 0 && config.restart_interval <= 0xffff,
+          "PspConfig::restart_interval out of range");
+}
 
 std::string PspService::upload(const Bytes& jfif, const Bytes& public_params) {
   metrics::ScopedTimer timer(metrics::histogram("psp.upload_ms"));

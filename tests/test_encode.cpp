@@ -143,6 +143,10 @@ Bytes ref_serialize(const jpeg::CoefficientImage& img,
                     const jpeg::EncodeOptions& opts) {
   const int ncomp = img.component_count();
   auto table_id = [](int c) { return c == 0 ? 0 : 1; };
+  // The default cadence is one restart segment per MCU row.
+  const int restart = opts.restart_interval == jpeg::kRestartEveryMcuRow
+                          ? img.blocks_w() / img.component(0).h
+                          : opts.restart_interval;
 
   jpeg::HuffmanSpec dc_spec[2] = {jpeg::std_dc_luma(), jpeg::std_dc_chroma()};
   jpeg::HuffmanSpec ac_spec[2] = {jpeg::std_ac_luma(), jpeg::std_ac_chroma()};
@@ -152,8 +156,7 @@ Bytes ref_serialize(const jpeg::CoefficientImage& img,
     ref_scan_order(
         img,
         [&](int mcu) {
-          if (opts.restart_interval > 0 && mcu > 0 &&
-              mcu % opts.restart_interval == 0)
+          if (restart > 0 && mcu > 0 && mcu % restart == 0)
             std::fill(prev_dc.begin(), prev_dc.end(), 0);
         },
         [&](int c, int bx, int by) {
@@ -210,10 +213,10 @@ Bytes ref_serialize(const jpeg::CoefficientImage& img,
     ref_write_dht(w, dc_spec[1], 0, 1);
     ref_write_dht(w, ac_spec[1], 1, 1);
   }
-  if (opts.restart_interval > 0) {
+  if (restart > 0) {
     ref_write_marker(w, 0xdd);  // DRI
     w.u16(4);
-    w.u16(static_cast<std::uint16_t>(opts.restart_interval));
+    w.u16(static_cast<std::uint16_t>(restart));
   }
   ref_write_marker(w, 0xda);  // SOS
   w.u16(static_cast<std::uint16_t>(6 + 2 * ncomp));
@@ -238,9 +241,8 @@ Bytes ref_serialize(const jpeg::CoefficientImage& img,
     ref_scan_order(
         img,
         [&](int mcu) {
-          if (opts.restart_interval > 0 && mcu > 0 &&
-              mcu % opts.restart_interval == 0) {
-            bits.restart_marker((mcu / opts.restart_interval - 1) % 8);
+          if (restart > 0 && mcu > 0 && mcu % restart == 0) {
+            bits.restart_marker((mcu / restart - 1) % 8);
             std::fill(prev_dc.begin(), prev_dc.end(), 0);
           }
         },
@@ -366,6 +368,100 @@ TEST(BitWriterDifferential, FusedCodePlusMagnitudeBoundary) {
   EXPECT_EQ(fast_bytes, ref_bytes);
 }
 
+/// The fast writer and the reference fed the same calls.
+struct WriterPair {
+  Bytes fast_bytes, ref_bytes;
+  jpeg::BitWriter fast{fast_bytes};
+  RefBitWriter ref{ref_bytes};
+
+  void put(std::uint64_t bits, int count) {
+    fast.put(bits, count);
+    ref.put(bits, count);
+  }
+  /// `count` bits (any number) in puts of at most kMaxPutBits.
+  void put_wide(std::uint64_t bits, int count) {
+    while (count > jpeg::BitWriter::kMaxPutBits) {
+      count -= jpeg::BitWriter::kMaxPutBits;
+      put(bits >> count, jpeg::BitWriter::kMaxPutBits);
+    }
+    put(bits, count);
+  }
+  void flush() {
+    fast.flush();
+    ref.flush();
+  }
+  void restart_marker(int n) {
+    fast.restart_marker(n);
+    ref.restart_marker(n);
+  }
+};
+
+TEST(BitWriterDifferential, PutEndingAtExactlySixtyFourBufferedBits) {
+  // Every split of one word into a lead and a put that completes it, with
+  // and without 0xFF bytes in the word, then a put that starts the next.
+  for (const std::uint64_t word :
+       {0x0123456789abcdefull, 0xff00ff00ff00ff00ull, ~0ull}) {
+    for (int lead = 64 - jpeg::BitWriter::kMaxPutBits; lead < 64; ++lead) {
+      WriterPair w;
+      w.put(word >> (64 - lead), lead);
+      w.put(word, 64 - lead);
+      EXPECT_EQ(w.fast_bytes.size(), w.ref_bytes.size()) << "lead " << lead;
+      w.put(0x5, 3);
+      w.flush();
+      ASSERT_EQ(w.fast_bytes, w.ref_bytes)
+          << "word " << std::hex << word << std::dec << " lead " << lead;
+    }
+  }
+}
+
+TEST(BitWriterDifferential, FlushAtEveryResidue) {
+  for (const std::uint64_t word :
+       {0x0123456789abcdefull, 0xfffefffefffefffeull, ~0ull}) {
+    for (int residue = 0; residue < 64; ++residue) {
+      // A full word first, so the residue sits behind a drained word.
+      WriterPair w;
+      w.put_wide(0xa5a5a5a5a5a5a5a5ull, 64);
+      w.put_wide(residue ? word >> (64 - residue) : 0, residue);
+      w.flush();
+      ASSERT_EQ(w.fast_bytes, w.ref_bytes)
+          << "word " << std::hex << word << std::dec << " residue "
+          << residue;
+      w.flush();  // idempotent once empty
+      EXPECT_EQ(w.fast_bytes, w.ref_bytes) << "residue " << residue;
+    }
+  }
+}
+
+TEST(BitWriterDifferential, RestartMarkerStraightAfterAFullWord) {
+  for (const std::uint64_t word :
+       {0x0123456789abcdefull, 0x00000000000000ffull, ~0ull}) {
+    WriterPair w;
+    for (int n = 0; n < 8; ++n) {
+      w.put_wide(word, 64);  // the writer holds no bits now
+      w.restart_marker(n);
+      w.put(0x3, 2);  // and a partial byte before the next marker
+      w.restart_marker((n + 1) % 8);
+    }
+    w.flush();
+    ASSERT_EQ(w.fast_bytes, w.ref_bytes) << std::hex << word;
+  }
+}
+
+TEST(BitWriterDifferential, FfBytesStraddlingTheWordBoundary) {
+  // 0xFF runs that end one word and begin the next, at every bit offset,
+  // so the stuffing path and the straight append meet at the boundary.
+  for (int offset = 0; offset < 64; ++offset) {
+    WriterPair w;
+    w.put_wide(0, offset);
+    w.put_wide(0x123456789abcde00ull, 56);  // word ends in 8 zero bits
+    w.put_wide(~std::uint64_t{0}, 24);      // straddles the boundary
+    w.put_wide(0x0123456789abcdefull, 64);
+    w.put_wide(~std::uint64_t{0}, 16);
+    w.flush();
+    ASSERT_EQ(w.fast_bytes, w.ref_bytes) << "offset " << offset;
+  }
+}
+
 TEST(BitWriter, ZeroCountPutIsANoop) {
   Bytes out;
   jpeg::BitWriter w(out);
@@ -468,7 +564,7 @@ TEST(EncodeDifferential, CorpusMatchesSeedEncoderByteForByte) {
         // density), 3 = short segments with a ragged tail, 64 = interval
         // larger than the whole scan. The parallel-segment serialize path
         // must hit the seed bytes at every density.
-        for (int restart : {0, 1, 3, 64}) {
+        for (int restart : {0, 1, 3, 64, jpeg::kRestartEveryMcuRow}) {
           jpeg::EncodeOptions opts;
           opts.huffman = hm;
           opts.restart_interval = restart;

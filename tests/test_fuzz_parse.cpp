@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "codec_reference.h"
 #include "puppies/common/error.h"
 #include "puppies/common/rng.h"
 #include "puppies/jpeg/codec.h"
@@ -147,6 +148,38 @@ TEST(FuzzParse, EveryTruncationPointThrowsParseError) {
     const Bytes truncated(data.begin(),
                           data.begin() + static_cast<std::ptrdiff_t>(keep));
     EXPECT_THROW((void)parse(truncated), ParseError) << "kept " << keep;
+  }
+}
+
+TEST(FuzzParse, StreamsMissingTheirEoiAreRejected) {
+  // Cut 1 byte leaves a dangling 0xFF, cut 2 loses the EOI: both used to
+  // decode, since the scan had already delivered its last MCU.
+  const synth::SceneImage scene =
+      synth::generate(synth::Dataset::kPascal, 9, 72, 56);
+  GrayU8 gray(40, 24);
+  Rng rng("fuzz-parse-eoi");
+  for (int y = 0; y < gray.height(); ++y)
+    for (int x = 0; x < gray.width(); ++x)
+      gray.at(x, y) = static_cast<std::uint8_t>(rng.range(0, 255));
+  const CoefficientImage images[] = {
+      forward_transform(rgb_to_ycc(scene.image), 75, ChromaMode::k444),
+      forward_transform(rgb_to_ycc(scene.image), 75, ChromaMode::k420),
+      reference::forward_transform(gray, 75),
+  };
+  for (const CoefficientImage& img : images) {
+    for (const int restart : {0, kRestartEveryMcuRow}) {
+      EncodeOptions opts;
+      opts.restart_interval = restart;
+      const Bytes data = serialize(img, opts);
+      EXPECT_EQ(parse(data), img);
+      for (const std::size_t cut : {1u, 2u}) {
+        const Bytes truncated(data.begin(),
+                              data.end() - static_cast<std::ptrdiff_t>(cut));
+        EXPECT_THROW((void)parse(truncated), ParseError)
+            << img.component_count() << " components, restart " << restart
+            << ", cut " << cut;
+      }
+    }
   }
 }
 

@@ -41,6 +41,14 @@ TEST(Psp, RejectsGarbageUploads) {
   EXPECT_THROW(psp.upload(Bytes{1, 2, 3}, Bytes{}), ParseError);
 }
 
+TEST(Psp, RejectsARestartIntervalOutOfRange) {
+  for (const int restart : {-1, -5, 0x10000}) {
+    PspConfig config;
+    config.restart_interval = restart;
+    EXPECT_THROW(PspService{config}, InvalidArgument) << restart;
+  }
+}
+
 TEST(Psp, UnknownIdThrows) {
   PspService psp;
   EXPECT_THROW(psp.download("img-404"), InvalidArgument);

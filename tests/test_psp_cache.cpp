@@ -16,6 +16,16 @@ namespace fs = std::filesystem;
 
 /// A small serving corpus: >= 5 perturbed images and >= 3 transform chains
 /// covering all three delivery paths (ISSUE acceptance matrix).
+/// A service config naming the three fields these tests vary.
+PspConfig service_config(StoreBackend backend, std::size_t cache_bytes,
+                         std::string data_dir) {
+  PspConfig c;
+  c.backend = backend;
+  c.cache_bytes = cache_bytes;
+  c.data_dir = std::move(data_dir);
+  return c;
+}
+
 struct Corpus {
   static constexpr int kImages = 5;
 
@@ -95,9 +105,10 @@ TEST(PspCache, ByteIdentityAcrossCacheModesAndBackends) {
       ("puppies_psp_cache_test_" + std::to_string(::getpid()));
   fs::remove_all(dir);
 
-  PspService no_cache(PspConfig{StoreBackend::kMemory, 0, ""});
-  PspService cached(PspConfig{StoreBackend::kMemory, 8ull << 20, ""});
-  PspService disk(PspConfig{StoreBackend::kDisk, 8ull << 20, dir.string()});
+  PspService no_cache(service_config(StoreBackend::kMemory, 0, ""));
+  PspService cached(service_config(StoreBackend::kMemory, 8ull << 20, ""));
+  PspService disk(
+      service_config(StoreBackend::kDisk, 8ull << 20, dir.string()));
 
   const auto ids_a = upload_all(no_cache);
   const auto ids_b = upload_all(cached);
@@ -190,8 +201,8 @@ TEST(PspCache, ApplyTransformAllMatchesPerIdCalls) {
 TEST(PspCache, EvictionKeepsServingCorrectBytes) {
   // A budget that fits roughly one result forces constant eviction; every
   // download must still be byte-correct (the cache only saves work).
-  PspService tiny(PspConfig{StoreBackend::kMemory, 4096, ""});
-  PspService reference(PspConfig{StoreBackend::kMemory, 0, ""});
+  PspService tiny(service_config(StoreBackend::kMemory, 4096, ""));
+  PspService reference(service_config(StoreBackend::kMemory, 0, ""));
   const auto ids_t = upload_all(tiny);
   const auto ids_r = upload_all(reference);
   for (const Corpus::Request& req : corpus().requests()) {
@@ -209,7 +220,7 @@ TEST(PspCache, DiskBackendServesUntransformedDownloadFromDisk) {
       ("puppies_psp_disk_test_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   {
-    PspService psp(PspConfig{StoreBackend::kDisk, 0, dir.string()});
+    PspService psp(service_config(StoreBackend::kDisk, 0, dir.string()));
     const std::string id = psp.upload(corpus().jfifs[3], corpus().params[3]);
     const Download d = psp.download(id);
     EXPECT_EQ(d.jfif, corpus().jfifs[3]);

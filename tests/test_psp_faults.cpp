@@ -20,6 +20,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A service config naming the three fields these tests vary.
+PspConfig service_config(StoreBackend backend, std::size_t cache_bytes,
+                         std::string data_dir) {
+  PspConfig c;
+  c.backend = backend;
+  c.cache_bytes = cache_bytes;
+  c.data_dir = std::move(data_dir);
+  return c;
+}
+
 /// One protected upload, produced the same way the pipeline tests do:
 /// synth scene -> forward transform -> ROI perturbation -> serialize.
 /// Serialized output is a parse/serialize fixpoint, so a degraded download
@@ -74,7 +84,7 @@ fs::path blob_file(const fs::path& root, const Digest& d) {
 
 TEST(PspFaults, DownloadSurvivesBlobCorruptionAndHealsStore) {
   ScratchDir scratch("corrupt");
-  PspService psp(PspConfig{StoreBackend::kDisk, 0, scratch.str()});
+  PspService psp(service_config(StoreBackend::kDisk, 0, scratch.str()));
   const std::string id = psp.upload(fixture().jfif, fixture().params);
   const Digest d = psp.digest_of(id);
 
@@ -109,7 +119,7 @@ TEST(PspFaults, DownloadSurvivesBlobCorruptionAndHealsStore) {
 
 TEST(PspFaults, DownloadServesFromMemoryWhileStoreIsFullyDown) {
   ScratchDir scratch("down");
-  PspService psp(PspConfig{StoreBackend::kDisk, 0, scratch.str()});
+  PspService psp(service_config(StoreBackend::kDisk, 0, scratch.str()));
   const std::string id = psp.upload(fixture().jfif, fixture().params);
   const Digest d = psp.digest_of(id);
 
@@ -133,22 +143,26 @@ TEST(PspFaults, DownloadServesFromMemoryWhileStoreIsFullyDown) {
 }
 
 TEST(PspFaults, HealReproducesTheUploadsOwnRestartInterval) {
-  // An upload whose restart cadence differs from the serving config's: the
-  // heal re-serializes at the upload's interval, so the bytes, and with
-  // them the content address, come back unchanged.
-  ScratchDir scratch("restart");
-  PspService psp(PspConfig{StoreBackend::kDisk, 0, scratch.str()});
-  jpeg::EncodeOptions eo;
-  eo.restart_interval = 5;
-  const Bytes upload = jpeg::serialize(jpeg::parse(fixture().jfif), eo);
-  const std::string id = psp.upload(upload, fixture().params);
-  const Digest d = psp.digest_of(id);
-  {
-    fault::ScopedPlan plan("store.get.corrupt=once");
-    EXPECT_EQ(psp.download(id).jfif, upload);
+  // Uploads whose restart cadence differs from the serving config's (and
+  // from the fixture's one segment per MCU row), a restart-free one
+  // included: the heal re-serializes at the upload's interval, so the
+  // bytes, and with them the content address, come back unchanged.
+  for (const int restart : {5, 0}) {
+    SCOPED_TRACE("restart " + std::to_string(restart));
+    ScratchDir scratch("restart");
+    PspService psp(service_config(StoreBackend::kDisk, 0, scratch.str()));
+    jpeg::EncodeOptions eo;
+    eo.restart_interval = restart;
+    const Bytes upload = jpeg::serialize(jpeg::parse(fixture().jfif), eo);
+    const std::string id = psp.upload(upload, fixture().params);
+    const Digest d = psp.digest_of(id);
+    {
+      fault::ScopedPlan plan("store.get.corrupt=once");
+      EXPECT_EQ(psp.download(id).jfif, upload);
+    }
+    EXPECT_EQ(psp.digest_of(id), d);
+    EXPECT_EQ(psp.blobs().get(d), upload);
   }
-  EXPECT_EQ(psp.digest_of(id), d);
-  EXPECT_EQ(psp.blobs().get(d), upload);
 }
 
 // --- Satellite: a transform compute that throws mid-flight must not poison

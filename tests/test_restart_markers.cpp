@@ -2,8 +2,11 @@
 // the error-containment property they exist for.
 #include <gtest/gtest.h>
 
+#include "codec_reference.h"
 #include "puppies/common/error.h"
+#include "puppies/common/rng.h"
 #include "puppies/core/perturb.h"
+#include "puppies/exec/pool.h"
 #include "puppies/image/metrics.h"
 #include "puppies/jpeg/codec.h"
 #include "puppies/synth/synth.h"
@@ -49,6 +52,53 @@ TEST(RestartMarkers, DriSegmentAndMarkersPresent) {
   }
   EXPECT_TRUE(dri);
   EXPECT_TRUE(rst0);
+}
+
+/// The DRI value of a serialized stream (0 when it has no DRI segment).
+int dri_of(const Bytes& data) {
+  for (std::size_t i = 0; i + 5 < data.size(); ++i)
+    if (data[i] == 0xff && data[i + 1] == 0xdd)
+      return (data[i + 4] << 8) | data[i + 5];
+  return 0;
+}
+
+CoefficientImage gray_sample(int w, int h) {
+  GrayU8 gray(w, h);
+  Rng rng("restart-gray");
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      gray.at(x, y) = static_cast<std::uint8_t>(rng.range(0, 255));
+  return reference::forward_transform(gray, 75);
+}
+
+TEST(RestartMarkers, SerializeDefaultsToOneSegmentPerMcuRow) {
+  struct PoolGuard {
+    ~PoolGuard() { exec::configure(exec::Config{}); }
+  } guard;
+  exec::configure(exec::Config{4});
+  const CoefficientImage images[] = {
+      sample(7, 96, 64, ChromaMode::k444),
+      sample(7, 96, 64, ChromaMode::k420),
+      sample(8, 97, 61, ChromaMode::k444),
+      sample(8, 101, 53, ChromaMode::k420),
+      gray_sample(48, 40),
+      gray_sample(41, 27),
+  };
+  for (const CoefficientImage& img : images) {
+    SCOPED_TRACE(std::to_string(img.width()) + "x" +
+                 std::to_string(img.height()) + " components " +
+                 std::to_string(img.component_count()));
+    const Bytes data = serialize(img);
+    EXPECT_EQ(dri_of(data), img.mcu_cols());
+    EncodeOptions explicit_row;
+    explicit_row.restart_interval = img.mcu_cols();
+    EXPECT_EQ(data, serialize(img, explicit_row));
+    ParseStats stats;
+    EXPECT_EQ(parse(data, &stats), img);
+    EXPECT_EQ(stats.restart_interval, img.mcu_cols());
+    EXPECT_EQ(stats.restart_segments, img.mcu_rows());
+    EXPECT_TRUE(stats.parallel);
+  }
 }
 
 TEST(RestartMarkers, StandardTablesAlsoRoundTrip) {
