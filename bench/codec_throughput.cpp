@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "bench_common.h"
+#include "puppies/common/digest.h"
 #include "puppies/core/perturb.h"
 #include "puppies/exec/pool.h"
 #include "puppies/jpeg/chunk.h"
@@ -506,6 +507,47 @@ void emit_codec_json() {
         "MP/s (1 thread)\n",
         std::string(kernels::to_string(tier)).c_str(), fdct_ns, idct_ns,
         quant_ns, dequant_ns, enc_mp_s, entropy_mp_s, dec_mp_s);
+  }
+  extras += "  ],\n";
+
+  // SHA-256 on every compression path this host runs: the blob store
+  // hashes each upload (~3.3 MB for an 8 MP share) and re-hashes each raw
+  // read (~32 KB for a PASCAL-size image), so both sizes are recorded.
+  extras += "  \"sha256\": [\n";
+  {
+    std::vector<kernels::Sha256Impl> paths;
+    for (const kernels::Sha256Impl p :
+         {kernels::Sha256Impl::kPortable, kernels::Sha256Impl::kShaNi})
+      if (kernels::sha256_impl_supported(p)) paths.push_back(p);
+    Bytes data(std::size_t{4} << 20);  // hashing time is content-blind
+    for (std::size_t i = 0; i < data.size(); ++i)
+      data[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 24);
+    for (std::size_t pi = 0; pi < paths.size(); ++pi) {
+      const kernels::Sha256Impl path = paths[pi];
+      const auto mb_per_s = [&](std::size_t size) {
+        const std::span<const std::uint8_t> msg(data.data(), size);
+        const int reps = static_cast<int>((std::size_t{8} << 20) / size);
+        const double ms = bench::min_ms(5, [&] {
+          for (int i = 0; i < reps; ++i) {
+            Sha256 h(path);
+            h.update(msg);
+            benchmark::DoNotOptimize(h.finalize());
+          }
+        });
+        return static_cast<double>(size) * reps / 1e6 / (ms / 1e3);
+      };
+      const double small = mb_per_s(std::size_t{32} << 10);
+      const double large = mb_per_s(data.size());
+      const std::string name(kernels::to_string(path));
+      std::snprintf(line, sizeof(line),
+                    "    {\"impl\": \"%s\", \"mb_per_s_32k\": %.1f, "
+                    "\"mb_per_s_4m\": %.1f}%s\n",
+                    name.c_str(), small, large,
+                    pi + 1 < paths.size() ? "," : "");
+      extras += line;
+      std::printf("sha256 %-8s: %7.1f MB/s on 32 KB, %7.1f MB/s on 4 MB\n",
+                  name.c_str(), small, large);
+    }
   }
   extras += "  ],\n";
 

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "puppies/common/bytes.h"
+#include "puppies/kernels/kernels.h"
 
 namespace puppies {
 
@@ -37,10 +38,16 @@ struct DigestHash {
 
 /// Streaming SHA-256 (FIPS 180-4). Deterministic, allocation-free; used for
 /// content addressing, not for any secrecy property (keys stay on the
-/// splitmix64 PRF, see common/key.h).
+/// splitmix64 PRF, see common/key.h). Implemented in puppies_kernels: the
+/// block function follows the SIMD tier (kernels::active_sha256_impl), and
+/// every path yields the same digest.
 class Sha256 {
  public:
+  /// Hashes on the active path.
   Sha256();
+  /// Hashes on an explicit path (tests and benches); throws
+  /// InvalidArgument if it cannot run here (kernels::sha256_impl_supported).
+  explicit Sha256(kernels::Sha256Impl impl);
 
   /// Absorbs `data`; may be called any number of times.
   void update(std::span<const std::uint8_t> data);
@@ -51,10 +58,11 @@ class Sha256 {
   Digest finalize();
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
+  /// The path's block function (kernels_internal.h: Sha256Blocks).
+  void (*blocks_)(std::uint32_t* state, const std::uint8_t* data,
+                  std::size_t blocks);
   std::uint64_t total_bytes_ = 0;
   std::size_t buffered_ = 0;
   bool finalized_ = false;

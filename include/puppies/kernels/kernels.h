@@ -107,6 +107,23 @@ SimdTier active_tier();
 /// The active kernel table. First call resolves the tier (thread-safe).
 const KernelTable& active();
 
+/// SHA-256 compression paths behind `Sha256` (common/digest.h). Every path
+/// yields the same digest; kPortable is the FIPS 180-4 reference loop.
+enum class Sha256Impl : int { kPortable = 0, kShaNi = 1 };
+
+/// "portable" / "sha_ni".
+std::string_view to_string(Sha256Impl impl);
+
+/// True if `impl` can run here: kShaNi needs the compiled-in SHA-NI TU and
+/// CPUID leaf 7 EBX bit 29 (SHA) plus SSE4.1. `Sha256(impl)` hashes on an
+/// explicit path, which is how the differential tests and benches pick one.
+bool sha256_impl_supported(Sha256Impl impl);
+
+/// The path `Sha256` takes by default, resolved with the tier: the scalar
+/// tier runs kPortable, any other tier kShaNi where supported. Published
+/// as the metrics gauge "kernels.sha256_impl" (0 portable, 1 SHA-NI).
+Sha256Impl active_sha256_impl();
+
 /// The shared 8x8 DCT cosine tables every tier reads, so all tiers use
 /// literally the same constants. cos_table()[u * 8 + x] =
 /// 0.5 * C(u) * cos((2x+1) u pi / 16); cos_table_t is its transpose.

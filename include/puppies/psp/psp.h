@@ -100,7 +100,8 @@ struct PspConfig {
 /// client requests straight onto one PspService. A shared_mutex guards the
 /// id->entry map (uploads take it exclusive, lookups shared) and each entry
 /// carries its own mutex, so requests against different images run fully in
-/// parallel while apply/download races on one image serialize per entry.
+/// parallel while applies on one image serialize per entry (a raw download
+/// reads and verifies the blob outside that lock).
 /// Entries are never erased, so an entry pointer resolved under the map
 /// lock stays valid after it is released.
 class PspService {
@@ -164,7 +165,9 @@ class PspService {
   struct Entry {
     /// Serializes apply/download/heal against this image. Held across the
     /// transform compute, so two requests for one image never race; the
-    /// cache's single-flight would have serialized that compute anyway.
+    /// cache's single-flight would have serialized that compute anyway. A
+    /// raw download holds it only to copy the digest and parameters: the
+    /// blob read and its re-hash run unlocked.
     mutable std::mutex mu;
     /// Tombstone set by remove(). Entries are never erased (the map-lock /
     /// entry-pointer stability contract above), so deletion is a flag;

@@ -33,6 +33,12 @@ PUPPIES_SIMD=scalar ./build/tests/tests_chunked
 # the native one.
 PUPPIES_SIMD=scalar ./build/tests/tests_decode
 
+# The foundation suite on the forced-scalar tier: its digest tests check the
+# known answers on the active SHA-256 path, and forcing the scalar tier must
+# select the portable compression (ctest above ran the SHA-NI one wherever
+# CPUID reports it). The differential walk runs both paths either way.
+PUPPIES_SIMD=scalar ./build/tests/tests_foundation
+
 # Loopback serving smoke: a real `puppies serve` process (ephemeral port,
 # discovered through --port-file), the zipfian load harness against it over
 # 8 connections with byte-identity checked per download, then SIGINT and a
@@ -153,4 +159,4 @@ cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_core
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_fuzz
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_core
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec decode identity gate + perfbench build and self-test + tests_foundation/tests_store/tests_chunked/tests_net/tests_decode/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_foundation + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec decode identity gate + perfbench build and self-test + tests_foundation/tests_store/tests_chunked/tests_net/tests_decode/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"

@@ -527,6 +527,33 @@ constexpr std::size_t kDefaultMaxDecodePixels = 1'000'000'000;
 /// 0 = unset: resolve PUPPIES_MAX_PIXELS, else the default.
 std::atomic<std::size_t> g_max_decode_pixels{0};
 
+/// The coding process a non-baseline SOFn marker announces (ITU-T T.81
+/// Table B.1), or null for any other marker. 0xc4, 0xc8 and 0xcc share the
+/// range but are DHT, JPG and DAC.
+const char* unsupported_sof(std::uint8_t marker) {
+  switch (marker) {
+    case 0xc1:
+      return "extended sequential";
+    case 0xc2:
+      return "progressive";
+    case 0xc3:
+      return "lossless";
+    case 0xc5:
+    case 0xc6:
+    case 0xc7:
+      return "hierarchical";
+    case 0xc9:
+    case 0xca:
+    case 0xcb:
+    case 0xcd:
+    case 0xce:
+    case 0xcf:
+      return "arithmetic-coded";
+    default:
+      return nullptr;
+  }
+}
+
 CoefficientImage parse_impl(std::span<const std::uint8_t> data,
                             ParseStats* stats) {
   ByteReader r(data);
@@ -550,6 +577,9 @@ CoefficientImage parse_impl(std::span<const std::uint8_t> data,
 
     if (marker == kEOI) throw ParseError("EOI before SOS");
     if (marker == kSOS) break;
+    if (const char* process = unsupported_sof(marker))
+      throw ParseError(std::string(process) + " JPEG (SOF" +
+                       std::to_string(marker - kSOF0) + ") not supported");
 
     const std::uint16_t len = r.u16();
     if (len < 2) throw ParseError("bad segment length");

@@ -1,13 +1,17 @@
+// Sha256 (common/digest.h) lives in puppies_kernels so that its block
+// function is resolved with the SIMD tier (kernels.cpp). This file holds the
+// streaming front end and the portable compression, which is the scalar
+// tier's path and the reference the SHA-NI path is tested against.
 #include "puppies/common/digest.h"
 
 #include <cstring>
 
+#include "kernels_internal.h"
 #include "puppies/common/error.h"
 
 namespace puppies {
-namespace {
 
-constexpr std::array<std::uint32_t, 64> kRoundK = {
+alignas(16) const std::uint32_t kernels::detail::kSha256RoundK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -20,6 +24,8 @@ constexpr std::array<std::uint32_t, 64> kRoundK = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+namespace {
+
 constexpr std::array<std::uint32_t, 8> kInitState = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
@@ -28,11 +34,8 @@ inline std::uint32_t rotr(std::uint32_t v, int n) {
   return (v >> n) | (v << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256() : state_(kInitState), buffer_{} {}
-
-void Sha256::compress(const std::uint8_t* block) {
+void compress(std::uint32_t* state, const std::uint8_t* block) {
+  const std::uint32_t* k = kernels::detail::kSha256RoundK;
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -48,12 +51,12 @@ void Sha256::compress(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRoundK[i] + w[i];
+    const std::uint32_t t1 = h + s1 + ch + k[i] + w[i];
     const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
     const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
     const std::uint32_t t2 = s0 + maj;
@@ -66,15 +69,30 @@ void Sha256::compress(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+}  // namespace
+
+void kernels::detail::sha256_blocks_portable(std::uint32_t* state,
+                                             const std::uint8_t* data,
+                                             std::size_t blocks) {
+  for (std::size_t i = 0; i < blocks; ++i) compress(state, data + 64 * i);
+}
+
+Sha256::Sha256() : Sha256(kernels::active_sha256_impl()) {}
+
+Sha256::Sha256(kernels::Sha256Impl impl)
+    : state_(kInitState),
+      buffer_{},
+      blocks_(kernels::detail::sha256_blocks_for(impl)) {}
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   require(!finalized_, "Sha256: update after finalize");
@@ -86,14 +104,13 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffered_ += take;
     pos = take;
     if (buffered_ == 64) {
-      compress(buffer_.data());
+      blocks_(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (pos + 64 <= data.size()) {
-    compress(data.data() + pos);
-    pos += 64;
-  }
+  const std::size_t whole = (data.size() - pos) / 64;
+  blocks_(state_.data(), data.data() + pos, whole);
+  pos += 64 * whole;
   if (pos < data.size()) {
     std::memcpy(buffer_.data(), data.data() + pos, data.size() - pos);
     buffered_ = data.size() - pos;

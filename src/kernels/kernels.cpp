@@ -1,8 +1,9 @@
 // Runtime dispatch for the puppies::kernels tier table. Resolution order
 // for the active tier: configure() (CLI --simd) > PUPPIES_SIMD env var >
-// CPUID probe. The selected tier is published as the metrics gauge
-// "kernels.simd_tier" so `store stats --json` and the bench records show
-// what the process actually dispatched to.
+// CPUID probe. The SHA-256 block function is resolved with the tier, so the
+// one override forces both. The selections are published as the metrics
+// gauges "kernels.simd_tier" and "kernels.sha256_impl" so `store stats
+// --json` and the bench records show what the process actually ran.
 #include "puppies/kernels/kernels.h"
 
 #include <atomic>
@@ -11,6 +12,10 @@
 #include <mutex>
 #include <numbers>
 #include <string>
+
+#if defined(PUPPIES_KERNELS_HAVE_SHANI)
+#include <cpuid.h>
+#endif
 
 #include "kernels_internal.h"
 #include "puppies/common/error.h"
@@ -77,15 +82,20 @@ bool compiled_in(SimdTier tier) {
   return false;
 }
 
-void publish_tier(SimdTier tier) {
-  metrics::Registry::instance()
-      .gauge("kernels.simd_tier")
-      .set(static_cast<int>(tier));
+#if defined(PUPPIES_KERNELS_HAVE_SHANI)
+// CPUID leaf 7 EBX bit 29 is the SHA extensions; the SHA-NI TU also uses
+// SSE4.1 (blend) and SSSE3 (byte shuffle), which every SSE4.1 CPU has.
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & (1u << 29)) != 0 && __builtin_cpu_supports("sse4.1");
 }
+#endif
 
 std::mutex g_mu;
 std::atomic<const KernelTable*> g_active{nullptr};
 SimdTier g_active_tier = SimdTier::kScalar;
+std::atomic<Sha256Impl> g_active_sha{Sha256Impl::kPortable};
 
 SimdTier resolve_initial_tier() {
   if (const char* env = std::getenv("PUPPIES_SIMD"); env && *env) {
@@ -98,9 +108,16 @@ SimdTier resolve_initial_tier() {
 }
 
 void activate_locked(SimdTier tier) {
+  const Sha256Impl sha =
+      tier != SimdTier::kScalar && sha256_impl_supported(Sha256Impl::kShaNi)
+          ? Sha256Impl::kShaNi
+          : Sha256Impl::kPortable;
   g_active_tier = tier;
+  g_active_sha.store(sha, std::memory_order_relaxed);
   g_active.store(&table_for(tier), std::memory_order_release);
-  publish_tier(tier);
+  metrics::Registry& reg = metrics::Registry::instance();
+  reg.gauge("kernels.simd_tier").set(static_cast<int>(tier));
+  reg.gauge("kernels.sha256_impl").set(static_cast<int>(sha));
 }
 
 const KernelTable* ensure_active() {
@@ -171,11 +188,9 @@ const KernelTable& table_for(SimdTier tier) {
 }
 
 void configure(SimdTier tier) {
-  const KernelTable& table = table_for(tier);  // validates support
+  table_for(tier);  // validates support
   std::lock_guard lock(g_mu);
-  g_active_tier = tier;
-  g_active.store(&table, std::memory_order_release);
-  publish_tier(tier);
+  activate_locked(tier);
 }
 
 SimdTier active_tier() {
@@ -185,6 +200,33 @@ SimdTier active_tier() {
 }
 
 const KernelTable& active() { return *ensure_active(); }
+
+std::string_view to_string(Sha256Impl impl) {
+  return impl == Sha256Impl::kShaNi ? "sha_ni" : "portable";
+}
+
+bool sha256_impl_supported(Sha256Impl impl) {
+#if defined(PUPPIES_KERNELS_HAVE_SHANI)
+  static const bool sha_ni = cpu_has_sha_ni();
+  if (impl == Sha256Impl::kShaNi) return sha_ni;
+#endif
+  return impl == Sha256Impl::kPortable;
+}
+
+detail::Sha256Blocks detail::sha256_blocks_for(Sha256Impl impl) {
+  if (!sha256_impl_supported(impl))
+    throw InvalidArgument("SHA-256 path " + std::string(to_string(impl)) +
+                          " is not supported on this machine");
+#if defined(PUPPIES_KERNELS_HAVE_SHANI)
+  if (impl == Sha256Impl::kShaNi) return sha256_blocks_shani;
+#endif
+  return sha256_blocks_portable;
+}
+
+Sha256Impl active_sha256_impl() {
+  ensure_active();
+  return g_active_sha.load(std::memory_order_relaxed);
+}
 
 const float* cos_table() { return cosines().c; }
 const float* cos_table_t() { return cosines().ct; }

@@ -14,6 +14,7 @@
 //  - integer kernels must be exactly the seed algorithms.
 
 #include <cmath>
+#include <cstddef>
 
 #include "puppies/kernels/kernels.h"
 
@@ -26,6 +27,23 @@ const KernelTable& table_sse2();
 #if defined(PUPPIES_KERNELS_HAVE_AVX2)
 const KernelTable& table_avx2();
 #endif
+
+// SHA-256 block functions: each absorbs `blocks` whole 64-byte blocks of
+// `data` into the eight-word state (FIPS 180-4 order a..h). The portable
+// loop is in digest.cpp, the SHA-NI one in its own TU built with -msha
+// -msse4.1; both read the round constants from the one table in digest.cpp.
+using Sha256Blocks = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks);
+alignas(16) extern const std::uint32_t kSha256RoundK[64];
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t blocks);
+#if defined(PUPPIES_KERNELS_HAVE_SHANI)
+void sha256_blocks_shani(std::uint32_t* state, const std::uint8_t* data,
+                         std::size_t blocks);
+#endif
+
+/// Block function for `impl`; throws InvalidArgument if it cannot run here.
+Sha256Blocks sha256_blocks_for(Sha256Impl impl);
 
 // Scalar reference bodies, shared so the SIMD tiers can delegate border /
 // tail handling (and whole kernels where vectorization does not pay) to the

@@ -276,59 +276,71 @@ void PspService::transform_entry(Entry& e, const transform::Chain& chain,
 Download PspService::download(const std::string& id) {
   metrics::ScopedTimer timer(metrics::histogram("psp.download_ms"));
   Entry& e = entry(id);
-  std::lock_guard entry_lock(e.mu);
-  require(!e.removed.load(), "unknown image id");
-  metrics::counter("psp.download").add();
   Download d;
-  d.public_params = e.public_params;
-  if (!e.transformed) {
-    d.chain = {};
-    d.mode = DeliveryMode::kCoefficients;
-    try {
-      d.jfif = blobs_->get(e.digest);
-    } catch (const Error& err) {
-      // Degraded mode: the store could not produce verified bytes (read
-      // failure past the retry budget, or the blob was quarantined as
-      // corrupt). The retained parse is the authoritative copy — serve
-      // from it, and re-publish it so the store heals itself.
-      metrics::counter("psp.degraded.store_read").add();
-      if (dynamic_cast<const CorruptionError*>(&err))
-        metrics::counter("psp.degraded.store_corrupt").add();
-      // Reproduce the upload's own restart layout (not the serving
-      // config's): the heal re-publishes under the original content
-      // address, so the bytes must match the upload, not a transform.
-      const jpeg::EncodeOptions eo =
-          encode_options(config_, e.restart_interval);
-      d.jfif = measured_encode([&](jpeg::EncodeStats* st) {
-        return jpeg::serialize(e.parsed, eo, nullptr, st);
-      });
-      try {
-        const Digest healed = blobs_->put(d.jfif);
-        if (!(healed == e.digest)) {
-          // The upload was not a serialize() fixpoint, so the healed copy
-          // lives at its own address; repoint the entry (the content
-          // address is the name, and this is now the content) and move the
-          // GC reference with it.
-          if (repl_) {
-            repl_->pin(healed);
-            repl_->unpin(e.digest);
-          }
-          e.digest = healed;
-          e.jfif_bytes = d.jfif.size();
-        }
-        metrics::counter("psp.healed.store").add();
-      } catch (const Error&) {
-        // Store still down; keep serving from memory.
-      }
+  Digest digest;
+  {
+    std::lock_guard entry_lock(e.mu);
+    require(!e.removed.load(), "unknown image id");
+    metrics::counter("psp.download").add();
+    d.public_params = e.public_params;
+    if (e.transformed) {
+      d.chain = e.chain;
+      d.mode = e.mode;
+      if (e.mode == DeliveryMode::kLinearFloat)
+        d.pixels = e.transformed->pixels;
+      else
+        d.jfif = e.transformed->jfif;
+      return d;
     }
-    return d;
+    digest = e.digest;
   }
-  d.chain = e.chain;
-  d.mode = e.mode;
-  if (e.mode == DeliveryMode::kLinearFloat)
-    d.pixels = e.transformed->pixels;
-  else
-    d.jfif = e.transformed->jfif;
+  d.chain = {};
+  d.mode = DeliveryMode::kCoefficients;
+  // The read and its re-hash run without the entry lock, so concurrent raw
+  // downloads of one image do not queue behind each other.
+  try {
+    d.jfif = blobs_->get(digest);
+    return d;
+  } catch (const Error& err) {
+    // Degraded mode: the store could not produce verified bytes (read
+    // failure past the retry budget, or the blob was quarantined as
+    // corrupt). The retained parse is the authoritative copy — serve
+    // from it, and re-publish it so the store heals itself.
+    metrics::counter("psp.degraded.store_read").add();
+    if (dynamic_cast<const CorruptionError*>(&err))
+      metrics::counter("psp.degraded.store_corrupt").add();
+  }
+  std::lock_guard entry_lock(e.mu);
+  // remove() may have released the parse while the read ran unlocked.
+  require(!e.removed.load(), "unknown image id");
+  // Reproduce the upload's own restart layout (not the serving config's):
+  // the heal re-publishes under the original content address, so the bytes
+  // must match the upload, not a transform.
+  const jpeg::EncodeOptions eo = encode_options(config_, e.restart_interval);
+  d.jfif = measured_encode([&](jpeg::EncodeStats* st) {
+    return jpeg::serialize(e.parsed, eo, nullptr, st);
+  });
+  // A concurrent download that failed the same read may have healed and
+  // repointed the entry already; only the first heal publishes.
+  if (!(e.digest == digest)) return d;
+  try {
+    const Digest healed = blobs_->put(d.jfif);
+    if (!(healed == e.digest)) {
+      // The upload was not a serialize() fixpoint, so the healed copy lives
+      // at its own address; repoint the entry (the content address is the
+      // name, and this is now the content) and move the GC reference with
+      // it.
+      if (repl_) {
+        repl_->pin(healed);
+        repl_->unpin(e.digest);
+      }
+      e.digest = healed;
+      e.jfif_bytes = d.jfif.size();
+    }
+    metrics::counter("psp.healed.store").add();
+  } catch (const Error&) {
+    // Store still down; keep serving from memory.
+  }
   return d;
 }
 

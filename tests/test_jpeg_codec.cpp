@@ -110,6 +110,30 @@ TEST(Codec, ParseRejectsGarbage) {
   EXPECT_THROW(parse(truncated), ParseError);
 }
 
+TEST(Codec, ParseNamesUnsupportedFrameTypes) {
+  // SOI, a one-component 16x16 SOFn header as libjpeg writes it, EOI.
+  const auto header = [](std::uint8_t sof) {
+    return Bytes{0xff, 0xd8, 0xff, sof,  0x00, 0x0b, 0x08, 0x00, 0x10,
+                 0x00, 0x10, 0x01, 0x01, 0x11, 0x00, 0xff, 0xd9};
+  };
+  const auto message = [&](std::uint8_t sof) -> std::string {
+    try {
+      parse(header(sof));
+    } catch (const ParseError& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_EQ(message(0xc2),
+            "parse error: progressive JPEG (SOF2) not supported");
+  EXPECT_EQ(message(0xc1),
+            "parse error: extended sequential JPEG (SOF1) not supported");
+  EXPECT_EQ(message(0xc9),
+            "parse error: arithmetic-coded JPEG (SOF9) not supported");
+  // Baseline gets past the frame header and fails on the missing scan.
+  EXPECT_EQ(message(0xc0), "parse error: EOI before SOS");
+}
+
 TEST(Codec, OptimizedTablesNeverLargerThanStandardOnRealImages) {
   const synth::SceneImage scene = synth::generate(synth::Dataset::kPascal, 0);
   const CoefficientImage img = forward_transform(rgb_to_ycc(scene.image), 75);

@@ -5,8 +5,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "puppies/core/pipeline.h"
 #include "puppies/fault/fault.h"
@@ -140,6 +143,59 @@ TEST(PspFaults, DownloadServesFromMemoryWhileStoreIsFullyDown) {
   EXPECT_TRUE(psp.blobs().contains(d));
   EXPECT_EQ(psp.blobs().get(d), fixture().jfif);
   EXPECT_EQ(psp.download(id).jfif, fixture().jfif);  // normal path again
+}
+
+/// `threads` concurrent raw downloads of `id`, `rounds` each; every one must
+/// serve the fixture's bytes. Returns the number that threw.
+int download_concurrently(PspService& psp, const std::string& id,
+                          int threads, int rounds) {
+  std::atomic<int> wrong{0}, failed{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t)
+    pool.emplace_back([&] {
+      for (int r = 0; r < rounds; ++r) {
+        try {
+          const Download d = psp.download(id);
+          if (d.jfif != fixture().jfif || d.public_params != fixture().params ||
+              d.mode != DeliveryMode::kCoefficients || !d.chain.empty())
+            ++wrong;
+        } catch (const std::exception&) {
+          ++failed;
+        }
+      }
+    });
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  return failed.load();
+}
+
+// --- Raw downloads read and verify the blob outside the entry lock, so
+// concurrent reads of one hot image overlap; every result is the upload.
+
+TEST(PspFaults, ConcurrentRawDownloadsOfOneImageAreByteIdentical) {
+  ScratchDir scratch("concurrent");
+  PspService psp(service_config(StoreBackend::kDisk, 0, scratch.str()));
+  const std::string id = psp.upload(fixture().jfif, fixture().params);
+  EXPECT_EQ(download_concurrently(psp, id, 8, 16), 0);
+}
+
+// The degraded path re-takes the entry lock: concurrent downloads that all
+// find the blob rotten each serve the retained parse, and the store heals.
+TEST(PspFaults, ConcurrentDownloadsOfARottenBlobServeAndHeal) {
+  ScratchDir scratch("concurrent_rot");
+  PspService psp(service_config(StoreBackend::kDisk, 0, scratch.str()));
+  const std::string id = psp.upload(fixture().jfif, fixture().params);
+  const Digest d = psp.digest_of(id);
+  std::ofstream(blob_file(scratch.path(), d),
+                std::ios::binary | std::ios::app)
+      << "bitrot";
+  const std::uint64_t healed_before =
+      metrics::counter("psp.healed.store").value();
+
+  EXPECT_EQ(download_concurrently(psp, id, 8, 4), 0);
+  EXPECT_GE(metrics::counter("psp.healed.store").value(), healed_before + 1);
+  EXPECT_EQ(psp.digest_of(id), d);  // the upload is a serialize() fixpoint
+  EXPECT_EQ(psp.blobs().get(d), fixture().jfif);
 }
 
 TEST(PspFaults, HealReproducesTheUploadsOwnRestartInterval) {

@@ -509,23 +509,20 @@ int cmd_store(std::vector<std::string> args) {
         backends_json += "\"";
       }
     }
+    const std::string tier(kernels::to_string(kernels::active_tier()));
+    const std::string sha(kernels::to_string(kernels::active_sha256_impl()));
     if (json) {
       std::printf("{\"dir\": \"%s\", \"blobs\": %zu, \"bytes\": %zu,\n"
                   "\"backend_health\": [%s],\n"
-                  "\"simd_tier\": \"%.*s\",\n"
+                  "\"simd_tier\": \"%s\", \"sha256_impl\": \"%s\",\n"
                   "\"metrics\": %s}\n",
                   json_escape(dir).c_str(), blobs->count(),
-                  blobs->total_bytes(), backends_json.c_str(),
-                  static_cast<int>(
-                      kernels::to_string(kernels::active_tier()).size()),
-                  kernels::to_string(kernels::active_tier()).data(),
-                  metrics::dump_json().c_str());
+                  blobs->total_bytes(), backends_json.c_str(), tier.c_str(),
+                  sha.c_str(), metrics::dump_json().c_str());
     } else {
-      std::printf("%s: %zu blobs, %zu bytes (simd: %.*s)\n", dir.c_str(),
-                  blobs->count(), blobs->total_bytes(),
-                  static_cast<int>(
-                      kernels::to_string(kernels::active_tier()).size()),
-                  kernels::to_string(kernels::active_tier()).data());
+      std::printf("%s: %zu blobs, %zu bytes (simd: %s, sha256: %s)\n",
+                  dir.c_str(), blobs->count(), blobs->total_bytes(),
+                  tier.c_str(), sha.c_str());
       if (repl)
         std::printf("  replicated: %zu backends [%s]\n", repl->backend_count(),
                     backends_json.c_str());
