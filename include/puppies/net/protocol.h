@@ -169,14 +169,9 @@ struct DownloadRequest {
   std::string id;
 };
 
-/// What `download` returns over the wire. kLinearFloat (raw float planes)
-/// is an in-process delivery mode only and is rejected at parse time.
-struct DownloadReply {
-  psp::DeliveryMode mode = psp::DeliveryMode::kCoefficients;
-  Bytes jfif;
-  Bytes public_params;
-  transform::Chain chain;
-};
+/// What `download` returns over the wire: the PSP's own download, field for
+/// field (mode byte, jfif blob, public_params blob, chain).
+using DownloadReply = psp::Download;
 
 Bytes encode_upload(const UploadRequest& r);
 UploadRequest parse_upload(std::span<const std::uint8_t> payload);

@@ -17,25 +17,25 @@
 
 namespace puppies::psp {
 
-/// How the PSP delivers a transformed image to a downloader.
+/// How the PSP delivers a transformed image to a downloader. Either way the
+/// download is a JFIF stream, as a real platform serves it. The values are
+/// the wire byte (net/protocol.h) and part of the transform cache key, so
+/// they are pinned; 1 is unassigned.
 enum class DeliveryMode : std::uint8_t {
   /// Lossless chain: the coefficient-domain result, re-encoded JFIF.
-  kCoefficients,
-  /// Pixel chain, idealized: linear unclamped float planes ("the PSP
-  /// processes losslessly"); the assumption behind the paper's Fig. 16.
-  kLinearFloat,
-  /// Pixel chain, realistic: clamp to 8 bit and re-encode as JPEG.
-  kClampedReencode,
+  kCoefficients = 0,
+  /// Pixel chain: decode, transform, clamp to 8 bit and re-encode as JPEG.
+  kClampedReencode = 2,
 };
 
 /// What a receiver gets back: the (possibly transformed) image plus the
 /// public metadata — parameters and the applied transformation chain
 /// ("transformation type at PSP side" is public data, Section III-C).
+/// The wire tier sends exactly this struct (net::DownloadReply).
 struct Download {
   transform::Chain chain;
   DeliveryMode mode = DeliveryMode::kCoefficients;
-  Bytes jfif;             ///< kCoefficients / kClampedReencode
-  YccImage pixels;        ///< kLinearFloat
+  Bytes jfif;
   Bytes public_params;
 };
 
@@ -84,9 +84,13 @@ struct PspConfig {
 /// public parameters, applies transformations on request, serves downloads.
 /// It never sees key material.
 ///
+/// Its operations are the ones `serve` carries (net/protocol.h): upload,
+/// apply, download, plus remove and the stats accessors below. Every result
+/// it serves is a JFIF stream.
+///
 /// Serving architecture (DESIGN.md §7): perturbed JPEGs live in a
 /// content-addressed BlobStore; each upload is parsed once and the
-/// coefficient image retained; transform results are memoized in a
+/// coefficient image retained; transformed JFIF bytes are memoized in a
 /// single-flight LRU TransformCache; every step feeds metrics::Registry.
 ///
 /// Robustness (DESIGN.md §9): the service never stops serving. A blob-store
@@ -122,19 +126,12 @@ class PspService {
   /// same as any other lookup of it.
   void remove(const std::string& id);
 
-  /// Applies `chain` to the stored image. Lossless chains run in the
-  /// coefficient domain; pixel chains decode first and deliver per `mode`.
+  /// Applies `chain` to the stored image. kCoefficients runs an
+  /// all-lossless chain in the coefficient domain; kClampedReencode decodes,
+  /// transforms, clamps and re-encodes at `reencode_quality`.
   void apply_transform(const std::string& id, const transform::Chain& chain,
-                       DeliveryMode mode = DeliveryMode::kLinearFloat,
+                       DeliveryMode mode = DeliveryMode::kClampedReencode,
                        int reencode_quality = 85);
-
-  /// Applies `chain` to every stored image, fanning entries across the
-  /// exec pool (the serving-side batch path: one thumbnailing or
-  /// re-encode pass over a whole library). Per-image results are identical
-  /// to calling apply_transform per id, at any thread count.
-  void apply_transform_all(const transform::Chain& chain,
-                           DeliveryMode mode = DeliveryMode::kLinearFloat,
-                           int reencode_quality = 85);
 
   /// Serves the (possibly transformed) image. Degraded mode: if the blob
   /// store cannot produce verified bytes (transient failure or quarantined
@@ -190,10 +187,8 @@ class PspService {
   Entry& entry(const std::string& id) const;
   void transform_entry(Entry& e, const transform::Chain& chain,
                        DeliveryMode mode, int reencode_quality);
-  store::TransformResult compute_transform(const Entry& e,
-                                           const transform::Chain& chain,
-                                           DeliveryMode mode,
-                                           int reencode_quality) const;
+  Bytes compute_transform(const Entry& e, const transform::Chain& chain,
+                          DeliveryMode mode, int reencode_quality) const;
 
   PspConfig config_;
   std::unique_ptr<store::BlobStore> blobs_;

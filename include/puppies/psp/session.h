@@ -58,8 +58,9 @@ class OwnerDevice {
 };
 
 /// The receiver side: downloads an image and recovers everything its key
-/// ring can, transparently handling PSP transformations (lossless chains in
-/// the coefficient domain, pixel chains through shadow subtraction).
+/// ring can. Lossless chains recover in the coefficient domain; a pixel
+/// chain arrives clamped and re-encoded, which destroys what recovery
+/// needs, so that view is the served image with its ROIs still perturbed.
 class ReceiverDevice {
  public:
   ReceiverDevice(std::string name, PspService& psp, SecureChannel& channel)

@@ -6,22 +6,12 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "puppies/common/bytes.h"
 #include "puppies/common/digest.h"
-#include "puppies/image/image.h"
 #include "puppies/store/byte_lru.h"
 #include "puppies/transform/transform.h"
 
 namespace puppies::store {
-
-/// One transform result as the PSP serves it: exactly one of `jfif` /
-/// `pixels` is populated, depending on the delivery mode.
-struct TransformResult {
-  Bytes jfif;
-  YccImage pixels;
-
-  /// Bytes this result charges against the cache budget.
-  std::size_t cost_bytes() const;
-};
 
 /// Cache key for a transform result: a digest over (source blob digest,
 /// canonicalized chain, delivery mode, reencode quality, encode mode,
@@ -40,23 +30,25 @@ Digest transform_cache_key(const Digest& source, const transform::Chain& chain,
                            bool quality_relevant, std::uint8_t encode_mode,
                            int restart_interval);
 
-/// LRU transform-result cache with a byte budget and single-flight
-/// computation: concurrent get_or_compute() calls for the same key (e.g.
-/// PspService::apply_transform_all workers on the exec pool) run `compute`
-/// once; everyone else blocks until the result lands. Results are immutable
-/// and shared, so an entry may be evicted while downloads still hold it.
+/// LRU cache of transform results (the served JFIF bytes) with a byte
+/// budget and single-flight computation: concurrent get_or_compute() calls
+/// for the same key (e.g. two connections applying one chain to one image)
+/// run `compute` once; everyone else blocks until the result lands. Each
+/// entry charges its byte size plus a flat 128 bytes of overhead. Results
+/// are immutable and shared, so an entry may be evicted while downloads
+/// still hold it.
 ///
 /// Metrics: cache.hit / cache.miss / cache.eviction / cache.wait counters,
 /// cache.compute_ms histogram.
 class TransformCache {
  public:
-  using ResultPtr = std::shared_ptr<const TransformResult>;
+  using ResultPtr = std::shared_ptr<const Bytes>;
 
   /// budget_bytes == 0 disables caching: get_or_compute always computes.
   explicit TransformCache(std::size_t budget_bytes);
 
   ResultPtr get_or_compute(const Digest& key,
-                           const std::function<TransformResult()>& compute);
+                           const std::function<Bytes()>& compute);
 
   bool enabled() const { return lru_.budget_bytes() > 0; }
   std::size_t budget_bytes() const { return lru_.budget_bytes(); }

@@ -118,7 +118,9 @@ Rect map_rect(const Chain& chain, Rect r, int w, int h);
 std::pair<int, int> map_size(const Step& step, int w, int h);
 std::pair<int, int> map_size(const Chain& chain, int w, int h);
 
-/// Chain (de)serialization for the PSP's public metadata.
+/// Chain (de)serialization for the PSP's public metadata. Filter taps are
+/// stored in fixed point (1e-6); read_chain throws ParseError on a tap that
+/// would not write back as itself, so a parsed chain re-encodes exactly.
 void write_chain(ByteWriter& out, const Chain& chain);
 Chain read_chain(ByteReader& in);
 

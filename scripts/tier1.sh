@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification (ROADMAP.md): the standard build + full ctest run,
 # then the store/cache suite again under ThreadSanitizer. The transform
-# cache's single-flight path is exercised concurrently from
-# apply_transform_all, so a plain pass alone is weak evidence — TSan turns
-# latent races in the blob store / cache / metrics registry into failures.
-# tests_store also carries the fault-schedule walk and the PSP degraded-mode
-# suite, so the injected-fault retry/quarantine paths get TSan coverage too.
+# cache's single-flight path is exercised from concurrent callers
+# (TransformCache.SingleFlightComputesOnceUnderConcurrency, and concurrent
+# applies through `serve` in tests_net), so a plain pass alone is weak
+# evidence — TSan turns latent races in the blob store / cache / metrics
+# registry into failures. tests_store also carries the fault-schedule walk
+# and the PSP degraded-mode suite, so the injected-fault retry/quarantine
+# paths get TSan coverage too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +40,15 @@ PUPPIES_SIMD=scalar ./build/tests/tests_decode
 # select the portable compression (ctest above ran the SHA-NI one wherever
 # CPUID reports it). The differential walk runs both paths either way.
 PUPPIES_SIMD=scalar ./build/tests/tests_foundation
+
+# The fuzz suite once more under a capped address space, so a parser that
+# reserves what an untrusted length field declares fails here instead of
+# passing on untouched overcommitted pages. The cap applies to the test
+# process only (subshell). Four lanes keep its thread stacks the same on
+# every host, and MALLOC_ARENA_MAX=1 stops each lane's glibc arena from
+# reserving 64 MB of address space. The suite needs about 80 MB at four
+# lanes; the cap leaves 16 MB of headroom.
+( ulimit -v 98304; PUPPIES_THREADS=4 MALLOC_ARENA_MAX=1 ./build/tests/tests_fuzz )
 
 # Loopback serving smoke: a real `puppies serve` process (ephemeral port,
 # discovered through --port-file), the zipfian load harness against it over
@@ -159,4 +170,4 @@ cmake --build build-ubsan -j"$(nproc)" --target tests_fuzz tests_core
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_fuzz
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/tests_core
 
-echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_foundation + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec decode identity gate + perfbench build and self-test + tests_foundation/tests_store/tests_chunked/tests_net/tests_decode/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"
+echo "tier-1: OK (full suite + scalar-tier tests_kernels/tests_encode/tests_chunked/tests_decode/tests_foundation + tests_fuzz under a 96 MB address-space cap + loopback serve/bench_load smoke + kill-one-backend chaos smoke + bench_store + codec decode identity gate + perfbench build and self-test + tests_foundation/tests_store/tests_chunked/tests_net/tests_decode/tests_core under TSan + tests_fuzz under ASan/UBSan + tests_core under ASan/UBSan)"

@@ -129,17 +129,17 @@ std::optional<Frame> FrameAssembler::take() {
 
 namespace {
 
-psp::DeliveryMode parse_mode(std::uint8_t v, bool allow_linear) {
+// The mode byte on the wire is the enumerator value.
+static_assert(static_cast<std::uint8_t>(psp::DeliveryMode::kCoefficients) == 0);
+static_assert(static_cast<std::uint8_t>(psp::DeliveryMode::kClampedReencode) ==
+              2);
+
+psp::DeliveryMode parse_mode(std::uint8_t v) {
   switch (v) {
     case static_cast<std::uint8_t>(psp::DeliveryMode::kCoefficients):
       return psp::DeliveryMode::kCoefficients;
     case static_cast<std::uint8_t>(psp::DeliveryMode::kClampedReencode):
       return psp::DeliveryMode::kClampedReencode;
-    case static_cast<std::uint8_t>(psp::DeliveryMode::kLinearFloat):
-      if (allow_linear) return psp::DeliveryMode::kLinearFloat;
-      throw InvalidArgument(
-          "kLinearFloat is an in-process delivery mode; the wire tier "
-          "serves kCoefficients or kClampedReencode");
   }
   throw InvalidArgument("unknown delivery mode " + std::to_string(v));
 }
@@ -180,7 +180,7 @@ ApplyRequest parse_apply(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   ApplyRequest a;
   a.id = r.str();
-  a.mode = parse_mode(r.u8(), /*allow_linear=*/false);
+  a.mode = parse_mode(r.u8());
   a.quality = r.i32();
   a.chain = transform::read_chain(r);
   require_done(r, "apply");
@@ -213,7 +213,7 @@ Bytes encode_download_reply(const DownloadReply& r) {
 DownloadReply parse_download_reply(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   DownloadReply d;
-  d.mode = parse_mode(r.u8(), /*allow_linear=*/false);
+  d.mode = parse_mode(r.u8());
   d.jfif = r.blob();
   d.public_params = r.blob();
   d.chain = transform::read_chain(r);

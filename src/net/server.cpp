@@ -447,16 +447,7 @@ struct Server::Impl {
       }
       case Op::kDownload: {
         const DownloadRequest d = parse_download(req.payload);
-        psp::Download down = psp.download(d.id);
-        require(down.mode != psp::DeliveryMode::kLinearFloat,
-                "image was transformed with the in-process kLinearFloat "
-                "mode; not servable over the wire");
-        DownloadReply reply;
-        reply.mode = down.mode;
-        reply.jfif = std::move(down.jfif);
-        reply.public_params = std::move(down.public_params);
-        reply.chain = std::move(down.chain);
-        return encode_download_reply(reply);
+        return encode_download_reply(psp.download(d.id));
       }
       case Op::kStats:
         return encode_text(metrics::dump_json());

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <vector>
 
-#include "puppies/exec/parallel_for.h"
 #include "puppies/fault/fault.h"
 #include "puppies/jpeg/chunk.h"
 #include "puppies/jpeg/codec.h"
@@ -145,23 +143,7 @@ void PspService::apply_transform(const std::string& id,
   transform_entry(entry(id), chain, mode, reencode_quality);
 }
 
-void PspService::apply_transform_all(const transform::Chain& chain,
-                                     DeliveryMode mode,
-                                     int reencode_quality) {
-  std::vector<Entry*> batch;
-  {
-    std::shared_lock lock(mu_);
-    batch.reserve(entries_.size());
-    for (auto& [id, e] : entries_) batch.push_back(e.get());
-  }
-  // Entries are independent; the per-entry codec/transform loops nest on
-  // the same pool and run inline on worker lanes.
-  exec::parallel_for(batch.size(), [&](std::size_t i) {
-    transform_entry(*batch[i], chain, mode, reencode_quality);
-  });
-}
-
-store::TransformResult PspService::compute_transform(
+Bytes PspService::compute_transform(
     const Entry& e, const transform::Chain& chain, DeliveryMode mode,
     int reencode_quality) const {
   if (fault::point("psp.transform.compute"))
@@ -174,7 +156,6 @@ store::TransformResult PspService::compute_transform(
       encode_options(config_, config_.restart_interval);
   jpeg::ChunkOptions copt;
   copt.mcu_rows = config_.chunk_mcu_rows;
-  store::TransformResult r;
   if (all_lossless && mode == DeliveryMode::kCoefficients) {
     metrics::ScopedTimer timer(metrics::histogram("psp.transform.lossless_ms"));
     metrics::counter("psp.codec.lossless_op")
@@ -182,65 +163,56 @@ store::TransformResult PspService::compute_transform(
     const jpeg::CoefficientImage img =
         transform::apply_lossless(chain, e.parsed);
     metrics::counter("psp.codec.serialize").add();
-    r.jfif = measured_encode([&](jpeg::EncodeStats* st) {
+    return measured_encode([&](jpeg::EncodeStats* st) {
       return jpeg::serialize(img, eo, nullptr, st);
     });
-  } else {
-    require(mode != DeliveryMode::kCoefficients,
-            "coefficient delivery requires an all-lossless chain");
-    metrics::ScopedTimer timer(metrics::histogram("psp.transform.pixel_ms"));
-    if (mode == DeliveryMode::kClampedReencode &&
-        transform::canonicalize(chain).empty()) {
-      // The chain folds to the identity (plain recompress-at-quality): stream
-      // decode -> clamp -> re-encode one output band at a time
-      // (jpeg::transcode_chunked), never materializing a full pixel plane on
-      // either side. Byte-identical to the general path below — D4 folding
-      // is exact — so the shared transform cache key stays safe.
-      metrics::ScopedTimer reencode(
-          metrics::histogram("psp.transform.reencode_ms"));
-      metrics::counter("psp.codec.inverse").add();
-      metrics::counter("psp.codec.forward").add();
-      metrics::counter("psp.codec.recompress_streamed").add();
-      r.jfif = measured_encode([&](jpeg::EncodeStats* st) {
-        return jpeg::recompress_chunked(e.parsed, reencode_quality, eo, copt,
-                                        nullptr, st);
-      });
-      return r;
-    }
-    // An untrusted chain is bounded before the decode: a scale target that
-    // is not positive or over the decode limit is a bad request.
-    transform::map_size(chain, e.parsed.width(), e.parsed.height());
-    metrics::counter("psp.codec.inverse").add();
-    const YccImage transformed =
-        transform::apply(chain, jpeg::inverse_transform(e.parsed));
-    if (mode == DeliveryMode::kLinearFloat) {
-      r.pixels = transformed;
-    } else {
-      // Realistic path: clamp and re-encode on the band engine
-      // (jpeg/chunk.h), so per-request pixel scratch stays a few MCU rows
-      // per pool lane instead of three more full-image planes. Bytes never
-      // depend on the band size, which is why the chunk knob never enters
-      // the transform cache key.
-      metrics::ScopedTimer reencode(
-          metrics::histogram("psp.transform.reencode_ms"));
-      metrics::counter("psp.codec.forward").add();
-      jpeg::ScanIndex scan;
-      const jpeg::CoefficientImage coeffs =
-          jpeg::forward_transform_clamped_chunked(
-              transformed, reencode_quality, eo.chroma, copt, &scan);
-      r.jfif = measured_encode([&](jpeg::EncodeStats* st) {
-        return jpeg::serialize(coeffs, eo, &scan, st);
-      });
-    }
   }
-  return r;
+  require(mode == DeliveryMode::kClampedReencode,
+          "coefficient delivery requires an all-lossless chain");
+  metrics::ScopedTimer timer(metrics::histogram("psp.transform.pixel_ms"));
+  if (transform::canonicalize(chain).empty()) {
+    // The chain folds to the identity (plain recompress-at-quality): stream
+    // decode -> clamp -> re-encode one output band at a time
+    // (jpeg::transcode_chunked), never materializing a full pixel plane on
+    // either side. Byte-identical to the general path below — D4 folding
+    // is exact — so the shared transform cache key stays safe.
+    metrics::ScopedTimer reencode(
+        metrics::histogram("psp.transform.reencode_ms"));
+    metrics::counter("psp.codec.inverse").add();
+    metrics::counter("psp.codec.forward").add();
+    metrics::counter("psp.codec.recompress_streamed").add();
+    return measured_encode([&](jpeg::EncodeStats* st) {
+      return jpeg::recompress_chunked(e.parsed, reencode_quality, eo, copt,
+                                      nullptr, st);
+    });
+  }
+  // An untrusted chain is bounded before the decode: a scale target that
+  // is not positive or over the decode limit is a bad request.
+  transform::map_size(chain, e.parsed.width(), e.parsed.height());
+  metrics::counter("psp.codec.inverse").add();
+  const YccImage transformed =
+      transform::apply(chain, jpeg::inverse_transform(e.parsed));
+  // Clamp and re-encode on the band engine (jpeg/chunk.h), so per-request
+  // pixel scratch stays a few MCU rows per pool lane instead of three more
+  // full-image planes. Bytes never depend on the band size, which is why
+  // the chunk knob never enters the transform cache key.
+  metrics::ScopedTimer reencode(
+      metrics::histogram("psp.transform.reencode_ms"));
+  metrics::counter("psp.codec.forward").add();
+  jpeg::ScanIndex scan;
+  const jpeg::CoefficientImage coeffs =
+      jpeg::forward_transform_clamped_chunked(transformed, reencode_quality,
+                                              eo.chroma, copt, &scan);
+  return measured_encode([&](jpeg::EncodeStats* st) {
+    return jpeg::serialize(coeffs, eo, &scan, st);
+  });
 }
 
 void PspService::transform_entry(Entry& e, const transform::Chain& chain,
                                  DeliveryMode mode, int reencode_quality) {
   std::lock_guard entry_lock(e.mu);
-  // A remove() that raced past the id lookup (apply_transform_all batches
-  // entry pointers): deleted images are silently skipped, not transformed.
+  // A remove() that raced past the id lookup: deleted images are silently
+  // skipped, not transformed.
   if (e.removed.load()) return;
   metrics::counter("psp.transform").add();
   // The reencode quality only reaches the output on the clamped-reencode
@@ -262,7 +234,7 @@ void PspService::transform_entry(Entry& e, const transform::Chain& chain,
     // retained parse and keep serving; the next caller recomputes and
     // caches as usual.
     metrics::counter("psp.degraded.cache").add();
-    e.transformed = std::make_shared<const store::TransformResult>(
+    e.transformed = std::make_shared<const Bytes>(
         compute_transform(e, chain, mode, reencode_quality));
   }
   // Record the canonical chain: canonically equal requests share one cache
@@ -286,10 +258,7 @@ Download PspService::download(const std::string& id) {
     if (e.transformed) {
       d.chain = e.chain;
       d.mode = e.mode;
-      if (e.mode == DeliveryMode::kLinearFloat)
-        d.pixels = e.transformed->pixels;
-      else
-        d.jfif = e.transformed->jfif;
+      d.jfif = *e.transformed;
       return d;
     }
     digest = e.digest;
@@ -348,12 +317,7 @@ std::size_t PspService::stored_bytes(const std::string& id) const {
   const Entry& e = entry(id);
   std::lock_guard entry_lock(e.mu);
   std::size_t total = e.jfif_bytes + e.public_params.size();
-  if (e.transformed) {
-    total += e.transformed->jfif.size();
-    if (e.mode == DeliveryMode::kLinearFloat)
-      total += static_cast<std::size_t>(e.transformed->pixels.width()) *
-               e.transformed->pixels.height() * 3 * sizeof(float);
-  }
+  if (e.transformed) total += e.transformed->size();
   return total;
 }
 

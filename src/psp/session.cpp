@@ -51,19 +51,6 @@ RgbImage ReceiverDevice::view(const std::string& image_id) const {
       core::PublicParameters::parse(d.public_params);
   const core::KeyRing ring = channel_.ring_for(name_);
 
-  if (d.mode == DeliveryMode::kLinearFloat) {
-    // Pixel-domain transformed delivery: shadow recovery. PuPPIeS-Z ROIs
-    // cannot take this path; leave them perturbed rather than fail the view.
-    const bool any_z_recoverable = std::any_of(
-        params.rois.begin(), params.rois.end(),
-        [&](const core::ProtectedRoi& roi) {
-          return roi.scheme == core::Scheme::kZero &&
-                 ring.find_set(roi.matrix_id, roi.matrix_count).has_value();
-        });
-    if (any_z_recoverable) return ycc_to_rgb(d.pixels);
-    return ycc_to_rgb(core::recover_pixels(d.pixels, params, d.chain, ring));
-  }
-
   const jpeg::CoefficientImage img = jpeg::parse(d.jfif);
   if (d.chain.empty())
     return jpeg::decode_to_rgb(core::recover(img, params, ring));

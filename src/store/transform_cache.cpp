@@ -4,13 +4,6 @@
 
 namespace puppies::store {
 
-std::size_t TransformResult::cost_bytes() const {
-  // Entry overhead (key, LRU node, map slot) charged as a flat 128 bytes.
-  return 128 + jfif.size() +
-         static_cast<std::size_t>(pixels.width()) * pixels.height() * 3 *
-             sizeof(float);
-}
-
 Digest transform_cache_key(const Digest& source,
                            const transform::Chain& chain,
                            std::uint8_t delivery_mode, int reencode_quality,
@@ -45,11 +38,11 @@ void TransformCache::clear() {
 }
 
 TransformCache::ResultPtr TransformCache::get_or_compute(
-    const Digest& key, const std::function<TransformResult()>& compute) {
+    const Digest& key, const std::function<Bytes()>& compute) {
   if (!enabled()) {
     metrics::counter("cache.miss").add();
     metrics::ScopedTimer timer(metrics::histogram("cache.compute_ms"));
-    return std::make_shared<const TransformResult>(compute());
+    return std::make_shared<const Bytes>(compute());
   }
 
   std::shared_ptr<Flight> flight;
@@ -84,7 +77,7 @@ TransformCache::ResultPtr TransformCache::get_or_compute(
   std::exception_ptr error;
   try {
     metrics::ScopedTimer timer(metrics::histogram("cache.compute_ms"));
-    result = std::make_shared<const TransformResult>(compute());
+    result = std::make_shared<const Bytes>(compute());
   } catch (...) {
     error = std::current_exception();
   }
@@ -94,9 +87,10 @@ TransformCache::ResultPtr TransformCache::get_or_compute(
     std::lock_guard lock(mu_);
     own = flights_.at(key);
     flights_.erase(key);
+    // Entry overhead (key, LRU node, map slot) charged as a flat 128 bytes.
     if (!error)
       if (const std::size_t evicted =
-              lru_.put(key, result, result->cost_bytes()))
+              lru_.put(key, result, 128 + result->size()))
         metrics::counter("cache.eviction").add(evicted);
   }
   {

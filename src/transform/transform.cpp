@@ -473,6 +473,20 @@ Rect map_rect(const Chain& chain, Rect r, int w, int h) {
   return r;
 }
 
+namespace {
+
+// Fixed-point kernel storage (1e-6 resolution) keeps the format
+// platform-independent.
+std::int32_t tap_to_micros(float k) {
+  return static_cast<std::int32_t>(std::lround(k * 1e6));
+}
+
+float tap_from_micros(std::int32_t micros) {
+  return static_cast<float>(micros) * 1e-6f;
+}
+
+}  // namespace
+
 void write_chain(ByteWriter& out, const Chain& chain) {
   out.u32(static_cast<std::uint32_t>(chain.size()));
   for (const Step& s : chain) {
@@ -483,11 +497,7 @@ void write_chain(ByteWriter& out, const Chain& chain) {
     out.i32(s.rect.y);
     out.i32(s.rect.w);
     out.i32(s.rect.h);
-    for (float k : s.kernel) {
-      // Fixed-point kernel storage (1e-6 resolution) keeps the format
-      // platform-independent.
-      out.i32(static_cast<std::int32_t>(std::lround(k * 1e6)));
-    }
+    for (float k : s.kernel) out.i32(tap_to_micros(k));
   }
 }
 
@@ -508,7 +518,14 @@ Chain read_chain(ByteReader& in) {
     s.rect.y = in.i32();
     s.rect.w = in.i32();
     s.rect.h = in.i32();
-    for (float& k : s.kernel) k = static_cast<float>(in.i32()) * 1e-6f;
+    for (float& k : s.kernel) {
+      k = tap_from_micros(in.i32());
+      // Every tap within [-8, 8] re-encodes to the same float. Past about
+      // 9.2 some decode to a float that writes back as another, and the
+      // chain the PSP publishes would differ from the one it applied.
+      if (tap_from_micros(tap_to_micros(k)) != k)
+        throw ParseError("filter tap does not survive re-encoding");
+    }
     chain.push_back(s);
   }
   return chain;

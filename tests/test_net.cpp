@@ -206,10 +206,6 @@ TEST(Frame, PayloadCodecsRoundTrip) {
   EXPECT_EQ(a2.quality, a.quality);
   EXPECT_EQ(a2.chain, a.chain);
 
-  // kLinearFloat never crosses the wire.
-  a.mode = DeliveryMode::kLinearFloat;
-  EXPECT_THROW(parse_apply(encode_apply(a)), InvalidArgument);
-
   DownloadReply d;
   d.mode = DeliveryMode::kCoefficients;
   d.jfif = corpus()[0].jfif;
@@ -225,6 +221,34 @@ TEST(Frame, PayloadCodecsRoundTrip) {
   Bytes padded = encode_download(DownloadRequest{"img-0"});
   padded.push_back(0);
   EXPECT_THROW(parse_download(padded), ParseError);
+}
+
+TEST(Frame, OnlyModeBytesZeroAndTwoParse) {
+  // The mode byte is the one enum the request and reply payloads carry: 0
+  // (kCoefficients) and 2 (kClampedReencode) parse, every other byte
+  // (1 included) is a bad request.
+  ApplyRequest a;
+  a.id = "img-7";
+  a.chain = {transform::rotate(90)};
+  Bytes apply = encode_apply(a);
+  const std::size_t apply_mode_at = 4 + a.id.size();  // after the str id
+  DownloadReply d;
+  d.jfif = corpus()[0].jfif;
+  d.public_params = corpus()[0].params;
+  Bytes reply = encode_download_reply(d);
+  for (int v = 0; v < 256; ++v) {
+    apply[apply_mode_at] = static_cast<std::uint8_t>(v);
+    reply[0] = static_cast<std::uint8_t>(v);
+    if (v == 0 || v == 2) {
+      const auto mode = static_cast<DeliveryMode>(v);
+      EXPECT_EQ(parse_apply(apply).mode, mode);
+      EXPECT_EQ(parse_download_reply(reply).mode, mode);
+    } else {
+      EXPECT_THROW(parse_apply(apply), InvalidArgument) << "byte " << v;
+      EXPECT_THROW(parse_download_reply(reply), InvalidArgument)
+          << "byte " << v;
+    }
+  }
 }
 
 // ---- metrics percentiles --------------------------------------------------

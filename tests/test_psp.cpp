@@ -110,19 +110,22 @@ TEST(Psp, LosslessTransformEndToEnd) {
 }
 
 TEST(Psp, PixelTransformLinearDelivery) {
+  // The paper's Fig. 16 model: a PSP that scales in float and never clamps.
+  // The PSP serves JFIF only, so the test plays that PSP on the raw download.
   Scenario s;
   PspService psp;
   const std::string id = psp.upload(jpeg::serialize(s.shared.perturbed),
                                     s.shared.params.serialize());
   const transform::Chain chain{transform::scale(64, 48)};
-  psp.apply_transform(id, chain, DeliveryMode::kLinearFloat);
   const Download d = psp.download(id);
-  EXPECT_EQ(d.pixels.width(), 64);
+  const YccImage scaled =
+      transform::apply(chain, jpeg::inverse_transform(jpeg::parse(d.jfif)));
+  EXPECT_EQ(scaled.width(), 64);
 
   core::KeyRing keys;
   keys.add(s.key);
   const YccImage recovered = core::recover_pixels(
-      d.pixels, core::PublicParameters::parse(d.public_params), d.chain, keys);
+      scaled, core::PublicParameters::parse(d.public_params), chain, keys);
   const YccImage reference =
       transform::apply(chain, jpeg::inverse_transform(s.original));
   EXPECT_GT(psnr(to_gray(ycc_to_rgb(recovered)),

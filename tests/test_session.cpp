@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "puppies/core/pipeline.h"
 #include "puppies/image/draw.h"
 #include "puppies/image/metrics.h"
 #include "puppies/jpeg/codec.h"
@@ -73,18 +74,30 @@ TEST(Session, ViewAfterPspRotation) {
 }
 
 TEST(Session, ViewAfterPspScaling) {
+  // The paper's Fig. 16 model: a PSP that scales in float and never clamps.
+  // The PSP serves JFIF only (a clamped re-encode loses the ROI), so the
+  // test plays that PSP on the raw download and recovers with each
+  // receiver's key ring.
   World w;
   const RgbImage photo = portrait();
   const auto outcome = w.alice.share(photo, {"bob"}, {}, Rect{32, 48, 64, 80});
-  w.psp.apply_transform(outcome.image_id, {transform::scale(64, 96)},
-                        DeliveryMode::kLinearFloat);
-  const RgbImage bob_view = w.bob.view(outcome.image_id);
+  const transform::Chain chain{transform::scale(64, 96)};
+  const Download d = w.psp.download(outcome.image_id);
+  const YccImage scaled =
+      transform::apply(chain, jpeg::inverse_transform(jpeg::parse(d.jfif)));
+  const core::PublicParameters params =
+      core::PublicParameters::parse(d.public_params);
+  const auto view = [&](const std::string& receiver) {
+    return ycc_to_rgb(core::recover_pixels(scaled, params, chain,
+                                           w.channel.ring_for(receiver)));
+  };
+  const RgbImage bob_view = view("bob");
   const RgbImage reference = ycc_to_rgb(transform::apply(
-      {transform::scale(64, 96)},
+      chain,
       jpeg::inverse_transform(jpeg::forward_transform(rgb_to_ycc(photo), 75))));
   EXPECT_GT(psnr(to_gray(reference), to_gray(bob_view)), 45.0);
   // Mallory sees the scaled image with the ROI still noisy.
-  const RgbImage mallory_view = w.mallory.view(outcome.image_id);
+  const RgbImage mallory_view = view("mallory");
   EXPECT_LT(psnr(to_gray(reference), to_gray(mallory_view)), 30.0);
 }
 
@@ -115,7 +128,7 @@ TEST(Session, ZeroSchemeSurvivesPixelDeliveryGracefully) {
   const auto outcome =
       w.alice.share(photo, {"bob"}, options, Rect{32, 48, 64, 80});
   w.psp.apply_transform(outcome.image_id, {transform::scale(64, 96)},
-                        DeliveryMode::kLinearFloat);
+                        DeliveryMode::kClampedReencode);
   // Z + pixel chain: recovery is impossible by design; the facade returns
   // the transformed perturbed view instead of throwing.
   const RgbImage bob_view = w.bob.view(outcome.image_id);

@@ -334,10 +334,8 @@ TEST(CacheKey, ChainWireFormatUnchangedByEncodeModeField) {
 // ---------------------------------------------------------------------------
 // TransformCache: LRU, byte budget, single-flight.
 
-TransformResult small_result(std::size_t n, std::uint8_t fill) {
-  TransformResult r;
-  r.jfif = Bytes(n, fill);
-  return r;
+Bytes small_result(std::size_t n, std::uint8_t fill) {
+  return Bytes(n, fill);
 }
 
 TEST(TransformCache, HitsAfterComputeAndCountsWork) {
@@ -351,7 +349,7 @@ TEST(TransformCache, HitsAfterComputeAndCountsWork) {
   const auto r1 = cache.get_or_compute(k, compute);
   const auto r2 = cache.get_or_compute(k, compute);
   EXPECT_EQ(computes, 1);
-  EXPECT_EQ(r1->jfif, r2->jfif);
+  EXPECT_EQ(*r1, *r2);
   EXPECT_EQ(cache.count(), 1u);
 }
 
@@ -396,7 +394,7 @@ TEST(TransformCache, OversizedEntryStillReturnedJustNotRetained) {
   TransformCache cache(64);
   const auto r = cache.get_or_compute(
       sha256("big"), [] { return small_result(10000, 9); });
-  EXPECT_EQ(r->jfif.size(), 10000u);
+  EXPECT_EQ(r->size(), 10000u);
   EXPECT_EQ(cache.size_bytes(), 0u);
 }
 
@@ -404,12 +402,12 @@ TEST(TransformCache, ExceptionsPropagateAndAreNotCached) {
   TransformCache cache(1 << 20);
   const Digest k = sha256("boom");
   EXPECT_THROW(cache.get_or_compute(
-                   k, []() -> TransformResult { throw InvalidArgument("x"); }),
+                   k, []() -> Bytes { throw InvalidArgument("x"); }),
                InvalidArgument);
   EXPECT_EQ(cache.count(), 0u);
   // The failed flight must not wedge the key.
   const auto r = cache.get_or_compute(k, [] { return small_result(5, 5); });
-  EXPECT_EQ(r->jfif.size(), 5u);
+  EXPECT_EQ(r->size(), 5u);
 }
 
 TEST(TransformCache, SingleFlightComputesOnceUnderConcurrency) {
@@ -423,7 +421,7 @@ TEST(TransformCache, SingleFlightComputesOnceUnderConcurrency) {
       computes.fetch_add(1);
       return small_result(64, 3);
     });
-    ASSERT_EQ(r->jfif.size(), 64u);
+    ASSERT_EQ(r->size(), 64u);
   });
   exec::configure(exec::Config{});
   EXPECT_EQ(computes.load(), 1);

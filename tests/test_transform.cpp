@@ -167,6 +167,31 @@ TEST(Chain, ParseRejectsUnknownKind) {
   EXPECT_THROW(read_chain(r), ParseError);
 }
 
+TEST(Chain, ParseRejectsTapsThatDoNotReencode) {
+  // A filter tap is read as float(micros) * 1e-6. Every tap in [-8, 8] writes
+  // back as the same float; -9202827 (the smallest such magnitude) does
+  // not, so the parsed chain would re-encode as a different one.
+  const auto one_filter = [](std::int32_t tap) {
+    ByteWriter w;
+    w.u32(1);
+    w.u8(static_cast<std::uint8_t>(Kind::kFilter3x3));
+    for (int i = 0; i < 6; ++i) w.i32(0);
+    for (int i = 0; i < 9; ++i) w.i32(i == 4 ? tap : 0);
+    return w.take();
+  };
+  for (const std::int32_t tap : {-8'000'000, 8'000'000, 111'111}) {
+    const Bytes wire = one_filter(tap);
+    ByteReader r(wire);
+    const Chain chain = read_chain(r);
+    ByteWriter again;
+    write_chain(again, chain);
+    EXPECT_EQ(again.bytes(), wire) << tap;
+  }
+  const Bytes hostile = one_filter(-9'202'827);
+  ByteReader r(hostile);
+  EXPECT_THROW(read_chain(r), ParseError);
+}
+
 TEST(Chain, ParseRejectsCountBeyondRemainingBytes) {
   // A count the remaining bytes cannot hold fails before any allocation:
   // 0xFFFFFFFF steps, and two steps with only one step's bytes behind them.
